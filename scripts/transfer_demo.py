@@ -12,7 +12,7 @@ from semicl.data import SplitParams, hide_train_labels, make_split
 from semicl.losses import LossWeights
 from semicl.nn import EncoderClassifier, EncoderConfig
 from semicl.synth import synth_generate
-from semicl.train import TrainConfig, fit_two_stage
+from semicl.train import TrainConfig, fit
 
 
 def main() -> None:
@@ -37,7 +37,7 @@ def main() -> None:
     model = EncoderClassifier(
         EncoderConfig(in_channels=1, feature_channels=4), num_classes=2, seed=0
     )
-    model, trace = fit_two_stage(
+    model, trace = fit(
         model, target_masked, target_plan, cfg,
         pretrain_dataset=pretrain_ds, pretrain_plan=pretrain_plan,
     )

@@ -142,6 +142,8 @@ class Tape:
             raise TapeStateError("backward() on an empty tape")
         if loss.size != 1:
             raise ContractError(f"backward() requires a scalar loss, got shape {loss.shape}")
+        if loss._tape is not self:
+            raise TapeStateError("backward() on a loss that this tape did not record")
         self.consumed = True
 
         pending: dict[int, tuple[Tensor, np.ndarray]] = {

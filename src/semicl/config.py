@@ -9,6 +9,7 @@ documented Philox 4x64 generator family is supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,7 +28,10 @@ def _int(s: str) -> int:
 
 
 def _float(s: str) -> float:
-    return float(s)
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return value
 
 
 def _bool(s: str) -> bool:

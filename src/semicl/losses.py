@@ -61,9 +61,10 @@ def _masked_rowwise_logsumexp(scores: Tensor, mask: np.ndarray) -> Tensor:
     if empty.any():
         mask = mask.copy()
         mask[empty, :] = 1.0
-    # Row max over the masked entries, treated as a constant shift.
+    # Row max over the masked entries, treated as a constant shift. Masked-out
+    # entries may exceed it by up to 2/tau, so they are shifted to -inf, not exp'd.
     shift = np.where(mask > 0, scores.data, -np.inf).max(axis=1, keepdims=True)
-    e = ad.exp(ad.sub(scores, Tensor(shift)))
+    e = ad.exp(ad.sub(scores, Tensor(np.where(mask > 0, shift, np.inf))))
     total = ad.sum(ad.mul(e, Tensor(mask)), axis=1)
     return ad.add(ad.log(total), Tensor(shift[:, 0]))
 

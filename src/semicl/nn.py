@@ -260,6 +260,9 @@ def load_checkpoint(path) -> EncoderClassifier:
     model = EncoderClassifier(cfg, num_classes)
     if [s[0] for s in specs] != list(model._params):
         raise SchemaError(f"checkpoint {path}: parameter names do not match this architecture")
+    expected = 8 * sum(int(np.prod(shape)) for _, shape in specs)
+    if len(payload) != expected:
+        raise SchemaError(f"checkpoint {path}: payload has {len(payload)} bytes, expected {expected}")
     offset = 0
     for name, shape in specs:
         n = int(np.prod(shape)) if shape else 1

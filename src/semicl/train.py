@@ -1,9 +1,17 @@
-"""Training loops: end-to-end hybrid training and the two-stage baseline.
+"""Training: one stage runner for the end-to-end and two-stage regimes.
+
+`fit` writes each regime as a list of stages. A stage is a parameter group,
+loss weights, an unlabeled and a labeled pool, an epoch count and a Philox
+sub-stream index; one loop runs every stage: draw, step, evaluate. End to end
+is one stage: all parameters on the hybrid loss over both pools. Two stage is
+encoder-only pretraining on the unlabeled pool (sub-stream 0), then
+fine-tuning on the labeled pool (sub-stream 1).
 
 Batch pairing: every optimization step draws one unlabeled and one labeled
 batch; the smaller pool recycles (reshuffled) until the larger pool finishes
 its epoch. All randomness (shuffling, augmentation) flows from the config
 seed through named Philox streams, so a fixed seed fixes the entire trace.
+An epoch's recorded losses are the means of its per-step values.
 
 When the unlabeled pool is empty or has a single sample (e.g. label ratio
 1.0), the unsupervised loss is skipped with a logged warning. Non-finite
@@ -24,12 +32,7 @@ from . import augment as aug
 from . import losses as L
 from .autodiff import Tape, slice_
 from .data import SemiLabeledDataset, SplitPlan, zscore_by_train
-from .errors import (
-    ConfigError,
-    ContractError,
-    DegenerateLabelError,
-    DivergenceError,
-)
+from .errors import ConfigError, ContractError, DegenerateLabelError, DivergenceError
 from .losses import LossWeights
 from .metrics import compute_all
 from .nn import EncoderClassifier
@@ -173,8 +176,11 @@ def _check_finite(value: float, name: str) -> float:
 def _train_step(model: EncoderClassifier, optimizer, lw: LossWeights, cfg: TrainConfig,
                 x_u: np.ndarray | None, x_l: np.ndarray | None, y_l: np.ndarray | None,
                 aug_rng) -> dict[str, float | None]:
-    """One optimizer step on the given batches; returns the component values."""
-    use_u = x_u is not None
+    """One optimizer step on the given batches; returns the component values.
+
+    A component whose weight is zero is not computed.
+    """
+    use_u = x_u is not None and lw.lambda1 > 0
     use_l = x_l is not None
     if use_u and x_u.shape[0] < 2:
         raise ContractError(f"unlabeled batch needs >= 2 samples, got {x_u.shape[0]}")
@@ -183,28 +189,20 @@ def _train_step(model: EncoderClassifier, optimizer, lw: LossWeights, cfg: Train
     with Tape() as tape:
         chunks = []
         if use_u:
-            views_i, views_j = [], []
-            for sample in x_u:
-                vi, vj = aug.make_views(sample, cfg.augment, aug_rng)
-                views_i.append(vi)
-                views_j.append(vj)
-            chunks.append(np.stack(views_i))
-            chunks.append(np.stack(views_j))
+            views = [aug.make_views(sample, cfg.augment, aug_rng) for sample in x_u]
+            chunks += [np.stack([v[0] for v in views]), np.stack([v[1] for v in views])]
         if use_l:
             chunks.append(x_l)
         z = model.encode(np.concatenate(chunks, axis=0))
 
-        offset = 0
+        n = x_u.shape[0] if use_u else 0
         loss_u = loss_s = loss_c = None
         if use_u:
-            n = x_u.shape[0]
-            zi = slice_(z, 0, offset, offset + n)
-            zj = slice_(z, 0, offset + n, offset + 2 * n)
-            offset += 2 * n
+            zi, zj = slice_(z, 0, 0, n), slice_(z, 0, n, 2 * n)
             loss_u = L.unsup_contrastive(zi, zj, lw.tau, denominator=cfg.ntxent_denominator)
             out["loss_u"] = _check_finite(loss_u.item(), "L_u")
         if use_l:
-            zl = slice_(z, 0, offset, offset + x_l.shape[0])
+            zl = slice_(z, 0, 2 * n, 2 * n + x_l.shape[0])
             if lw.lambda2 > 0:
                 loss_s = L.sup_contrastive(zl, y_l, lw.tau)
                 out["loss_s"] = _check_finite(loss_s.item(), "L_s")
@@ -219,32 +217,6 @@ def _train_step(model: EncoderClassifier, optimizer, lw: LossWeights, cfg: Train
     tape.backward(total)
     optimizer.step()
     return out
-
-
-def step_end_to_end(model: EncoderClassifier, optimizer, batch_u: np.ndarray | None,
-                    batch_l: np.ndarray | None, labels_l: np.ndarray | None,
-                    cfg: TrainConfig, aug_rng) -> dict[str, float | None]:
-    """One end-to-end step: optimize all parameters on the hybrid loss.
-
-    Preconditions: batch_u has >= 2 samples or lambda1 == 0; batch_l spans
-    >= 2 classes or lambda2 == 0; batch_l nonempty or lambda3 == 0.
-    """
-    lw = cfg.effective_weights()
-    if lw.lambda1 == 0:
-        batch_u = None
-    if batch_u is not None and batch_u.shape[0] < 2:
-        raise ContractError("batch_u needs >= 2 samples when lambda1 > 0")
-    if lw.lambda2 == 0 and lw.lambda3 == 0:
-        batch_l = None
-    if batch_l is None and batch_u is None:
-        raise ContractError("step has no active loss component")
-    if batch_l is not None:
-        labels_l = np.asarray(labels_l, dtype=np.int64)
-        if lw.lambda2 > 0 and np.unique(labels_l).size < 2:
-            raise DegenerateLabelError("batch_l must span >= 2 classes when lambda2 > 0")
-        if labels_l.shape[0] < 1:
-            raise ContractError("batch_l must be nonempty when lambda3 > 0")
-    return _train_step(model, optimizer, lw, cfg, batch_u, batch_l, labels_l, aug_rng)
 
 
 # ---------------------------------------------------------------------------
@@ -290,171 +262,122 @@ def _train_pools(dataset: SemiLabeledDataset, plan: SplitPlan):
     return x_u, x_l, y_l
 
 
-def fit_end_to_end(model: EncoderClassifier, dataset: SemiLabeledDataset,
-                   plan: SplitPlan, cfg: TrainConfig):
-    """Joint training of encoder and classifier on the hybrid loss."""
-    ds = zscore_by_train(dataset, plan)
-    x_u, x_l, y_l = _train_pools(ds, plan)
-    lw = cfg.effective_weights()
+@dataclass(frozen=True)
+class _Stage:
+    """One training phase: which parameters move, on which losses and pools."""
 
-    use_u = lw.lambda1 > 0
-    if use_u and (x_u is None or x_u.shape[0] < 2):
-        logger.warning("unsupervised pool has %d samples; skipping L_u",
-                       0 if x_u is None else x_u.shape[0])
-        use_u = False
-    use_l = (lw.lambda2 > 0 or lw.lambda3 > 0)
-    if use_l and x_l is None:
-        raise ContractError("labeled pool is empty but lambda2/lambda3 are positive")
-    if lw.lambda2 > 0 and np.unique(y_l).size < 2:
-        raise DegenerateLabelError("labeled pool must span >= 2 classes for L_s")
-    if not use_u and not use_l:
-        raise ContractError("no active loss component for this configuration")
+    name: str  # prefix of the epoch in divergence messages
+    params: dict
+    weights: LossWeights
+    x_u: np.ndarray | None
+    labeled: tuple[np.ndarray, np.ndarray] | None
+    epochs: int
+    index: int  # Philox sub-stream of the shuffle and augment streams
 
-    optimizer = make_optimizer(cfg.optimizer, model.parameters(), cfg.learning_rate)
-    shuffle_rng = stream(cfg.seed, "shuffle")
-    aug_rng = stream(cfg.seed, "augment")
 
-    cyc_u = _Cycler(x_u.shape[0], cfg.batch_size, shuffle_rng) if use_u else None
-    cyc_l = _Cycler(x_l.shape[0], cfg.batch_size, shuffle_rng) if use_l else None
+def _run_stage(model: EncoderClassifier, stage: _Stage, cfg: TrainConfig,
+               ds: SemiLabeledDataset, plan: SplitPlan, trace: TrainTrace) -> None:
+    """Draw, step and evaluate for every epoch of one stage, appending to `trace`."""
+    optimizer = make_optimizer(cfg.optimizer, stage.params, cfg.learning_rate)
+    shuffle_rng = stream(cfg.seed, "shuffle", index=stage.index)
+    aug_rng = stream(cfg.seed, "augment", index=stage.index)
+    x_u, (x_l, y_l) = stage.x_u, stage.labeled or (None, None)
+    cyc_u = _Cycler(x_u.shape[0], cfg.batch_size, shuffle_rng) if x_u is not None else None
+    cyc_l = _Cycler(x_l.shape[0], cfg.batch_size, shuffle_rng) if x_l is not None else None
     steps = max(c.batches_per_epoch for c in (cyc_u, cyc_l) if c is not None)
 
-    trace = TrainTrace()
-    for epoch in range(1, cfg.epochs + 1):
-        sums = {"loss_u": 0.0, "loss_s": 0.0, "loss_c": 0.0, "hybrid": 0.0}
+    for _ in range(stage.epochs):
+        epoch = len(trace.records) + 1
+        sums = dict.fromkeys(("loss_u", "loss_s", "loss_c", "hybrid"), 0.0)
         for step in range(steps):
             batch_u = x_u[cyc_u.draw()] if cyc_u is not None else None
             batch_l = labels = None
             if cyc_l is not None:
                 idx = cyc_l.draw()
-                if lw.lambda2 > 0:
+                if stage.weights.lambda2 > 0:
                     idx = _ensure_two_classes(idx, y_l, cyc_l.order)
                 batch_l, labels = x_l[idx], y_l[idx]
             try:
-                parts = _train_step(model, optimizer, lw, cfg, batch_u, batch_l, labels, aug_rng)
+                parts = _train_step(model, optimizer, stage.weights, cfg,
+                                    batch_u, batch_l, labels, aug_rng)
             except DivergenceError as err:
-                raise DivergenceError(f"epoch {epoch} batch {step + 1}: {err}") from err
+                raise DivergenceError(f"{stage.name} {epoch} batch {step + 1}: {err}") from err
             for key in sums:
                 sums[key] += parts.get(key) or 0.0
-        val = evaluate(model, ds, plan.test_indices)
-        trace.add(EpochRecord(
-            epoch=epoch,
-            loss_u=sums["loss_u"] / steps,
-            loss_s=sums["loss_s"] / steps,
-            loss_c=sums["loss_c"] / steps,
-            hybrid=sums["hybrid"] / steps,
-            val=val,
-        ))
-    return model, trace
+        trace.add(EpochRecord(epoch, *(s / steps for s in sums.values()),
+                              val=evaluate(model, ds, plan.test_indices)))
 
 
-def fit_two_stage(model: EncoderClassifier, dataset: SemiLabeledDataset,
-                  plan: SplitPlan, cfg: TrainConfig,
-                  pretrain_dataset: SemiLabeledDataset | None = None,
-                  pretrain_plan: SplitPlan | None = None):
-    """Unsupervised encoder pretraining, then supervised fine-tuning.
+def _unsup_pool(x_u: np.ndarray | None, skipped: str) -> np.ndarray | None:
+    if x_u is None or x_u.shape[0] < 2:
+        logger.warning("unsupervised pool has %d samples; skipping %s",
+                       0 if x_u is None else x_u.shape[0], skipped)
+        return None
+    return x_u
 
-    Stage 1 optimizes encoder parameters only, with the unsupervised
-    contrastive loss on the unlabeled pool. Stage 2 optimizes the classifier
-    (and, unless `freeze_encoder`, the encoder) with cross-entropy, plus the
-    supervised contrastive loss under the `two_stage_with_Ls` ablation.
 
-    Passing `pretrain_dataset` switches stage 1 to transfer mode: all of that
-    dataset's train-split samples are used as the unsupervised pool, labels
-    ignored; channel counts must match.
-    """
-    ds = zscore_by_train(dataset, plan)
-    lw = cfg.effective_weights()
-    trace = TrainTrace()
-    epoch_counter = 0
-
-    # Stage 1: encoder-only pretraining.
-    if pretrain_dataset is not None:
-        if pretrain_plan is None:
-            raise ConfigError("transfer mode needs a pretrain split plan")
-        if pretrain_dataset.channels != dataset.channels:
-            raise ConfigError(
-                f"transfer pretraining needs matching channel counts, got "
-                f"{pretrain_dataset.channels} vs {dataset.channels}"
-            )
-        pre_ds = zscore_by_train(pretrain_dataset, pretrain_plan)
-        pre_train = [pre_ds.samples[i] for i in pretrain_plan.train_indices]
-        x_u = np.stack([s.values for s in pre_train]) if pre_train else None
-    else:
-        x_u, _, _ = _train_pools(ds, plan)
-
-    run_pretrain = cfg.pretrain_epochs > 0 and lw.lambda1 > 0
-    if run_pretrain and (x_u is None or x_u.shape[0] < 2):
-        logger.warning("unsupervised pool has %d samples; skipping pretraining stage",
-                       0 if x_u is None else x_u.shape[0])
-        run_pretrain = False
-    if run_pretrain:
-        opt1 = make_optimizer(cfg.optimizer, model.encoder_parameters(), cfg.learning_rate)
-        shuffle_rng = stream(cfg.seed, "shuffle")
-        aug_rng = stream(cfg.seed, "augment")
-        cyc = _Cycler(x_u.shape[0], cfg.batch_size, shuffle_rng)
-        for _ in range(cfg.pretrain_epochs):
-            epoch_counter += 1
-            total_u = 0.0
-            for step in range(cyc.batches_per_epoch):
-                try:
-                    parts = _train_step(model, opt1, lw, cfg, x_u[cyc.draw()], None, None, aug_rng)
-                except DivergenceError as err:
-                    raise DivergenceError(
-                        f"pretrain epoch {epoch_counter} batch {step + 1}: {err}") from err
-                total_u += parts["loss_u"]
-            mean_u = total_u / cyc.batches_per_epoch
-            trace.add(EpochRecord(
-                epoch=epoch_counter,
-                loss_u=mean_u, loss_s=0.0, loss_c=0.0,
-                hybrid=lw.lambda1 * mean_u,
-                val=evaluate(model, ds, plan.test_indices),
-            ))
-
-    # Stage 2: supervised fine-tuning.
-    _, x_l, y_l = _train_pools(ds, plan)
+def _labeled_pool(x_l: np.ndarray | None, y_l: np.ndarray | None, lw: LossWeights,
+                  missing: str) -> tuple[np.ndarray, np.ndarray]:
     if x_l is None:
-        raise ContractError("fine-tuning needs a labeled pool")
-    with_ls = cfg.ablation == "two_stage_with_Ls" and lw.lambda2 > 0
-    if with_ls and np.unique(y_l).size < 2:
+        raise ContractError(missing)
+    if lw.lambda2 > 0 and np.unique(y_l).size < 2:
         raise DegenerateLabelError("labeled pool must span >= 2 classes for L_s")
-    stage2_weights = replace(lw, lambda2=lw.lambda2 if with_ls else 0.0)
-    if stage2_weights.lambda3 == 0 and not with_ls:
-        raise ContractError("fine-tuning has no active loss (lambda3 == 0)")
+    return x_l, y_l
 
-    params = model.parameters() if not cfg.freeze_encoder else model.classifier_parameters()
-    opt2 = make_optimizer(cfg.optimizer, params, cfg.learning_rate)
-    shuffle_rng = stream(cfg.seed, "shuffle", index=1)
-    aug_rng = stream(cfg.seed, "augment", index=1)
-    cyc = _Cycler(x_l.shape[0], cfg.batch_size, shuffle_rng)
-    for _ in range(cfg.epochs):
-        epoch_counter += 1
-        sums = {"loss_s": 0.0, "loss_c": 0.0, "hybrid": 0.0}
-        for step in range(cyc.batches_per_epoch):
-            idx = cyc.draw()
-            if with_ls:
-                idx = _ensure_two_classes(idx, y_l, cyc.order)
-            try:
-                parts = _train_step(model, opt2, stage2_weights, cfg, None,
-                                    x_l[idx], y_l[idx], aug_rng)
-            except DivergenceError as err:
-                raise DivergenceError(
-                    f"fine-tune epoch {epoch_counter} batch {step + 1}: {err}") from err
-            for key in sums:
-                sums[key] += parts.get(key) or 0.0
-        trace.add(EpochRecord(
-            epoch=epoch_counter,
-            loss_u=0.0,
-            loss_s=sums["loss_s"] / cyc.batches_per_epoch,
-            loss_c=sums["loss_c"] / cyc.batches_per_epoch,
-            hybrid=sums["hybrid"] / cyc.batches_per_epoch,
-            val=evaluate(model, ds, plan.test_indices),
-        ))
-    return model, trace
+
+def _transfer_pool(dataset: SemiLabeledDataset, plan: SplitPlan | None,
+                   channels: int) -> np.ndarray | None:
+    """Every train-split sample of a pretraining dataset, labels ignored."""
+    if plan is None or dataset.channels != channels:
+        raise ConfigError(f"transfer pretraining needs a split plan and matching channel "
+                          f"counts, got {dataset.channels} vs {channels}")
+    ds = zscore_by_train(dataset, plan)
+    train = [ds.samples[i].values for i in plan.train_indices]
+    return np.stack(train) if train else None
 
 
 def fit(model: EncoderClassifier, dataset: SemiLabeledDataset, plan: SplitPlan,
-        cfg: TrainConfig, **kwargs):
-    """Dispatch on the configured regime."""
+        cfg: TrainConfig, pretrain_dataset: SemiLabeledDataset | None = None,
+        pretrain_plan: SplitPlan | None = None):
+    """Train `model` under the configured regime; returns (model, trace).
+
+    Passing `pretrain_dataset` (two stage only) switches pretraining to
+    transfer mode: all of that dataset's train-split samples form the
+    unsupervised pool, labels ignored; channel counts must match. Fine-tuning
+    adds the supervised contrastive loss under `two_stage_with_Ls` only, and
+    leaves the encoder alone under `freeze_encoder`.
+    """
+    ds = zscore_by_train(dataset, plan)
+    x_u, x_l, y_l = _train_pools(ds, plan)
+    lw = cfg.effective_weights()
     if cfg.regime == "end_to_end":
-        return fit_end_to_end(model, dataset, plan, cfg)
-    return fit_two_stage(model, dataset, plan, cfg, **kwargs)
+        if pretrain_dataset is not None:
+            raise ConfigError("transfer pretraining needs regime two_stage")
+        stages = [_Stage(
+            "epoch", model.parameters(), lw,
+            _unsup_pool(x_u, "L_u") if lw.lambda1 > 0 else None,
+            _labeled_pool(x_l, y_l, lw, "labeled pool is empty but lambda2/lambda3 are positive")
+            if lw.lambda2 > 0 or lw.lambda3 > 0 else None,
+            cfg.epochs, 0)]
+        if stages[0].x_u is None and stages[0].labeled is None:
+            raise ContractError("no active loss component for this configuration")
+    else:
+        stages = []
+        if pretrain_dataset is not None:
+            x_u = _transfer_pool(pretrain_dataset, pretrain_plan, dataset.channels)
+        if cfg.pretrain_epochs > 0 and lw.lambda1 > 0:
+            pool = _unsup_pool(x_u, "pretraining stage")
+            if pool is not None:
+                stages.append(_Stage("pretrain epoch", model.encoder_parameters(), lw,
+                                     pool, None, cfg.pretrain_epochs, 0))
+        fine = replace(lw, lambda2=lw.lambda2 if cfg.ablation == "two_stage_with_Ls" else 0.0)
+        if fine.lambda3 == 0 and fine.lambda2 == 0:
+            raise ContractError("fine-tuning has no active loss (lambda3 == 0)")
+        params = model.classifier_parameters() if cfg.freeze_encoder else model.parameters()
+        stages.append(_Stage("fine-tune epoch", params, fine, None,
+                             _labeled_pool(x_l, y_l, fine, "fine-tuning needs a labeled pool"),
+                             cfg.epochs, 1))
+    trace = TrainTrace()
+    for stage in stages:
+        _run_stage(model, stage, cfg, ds, plan, trace)
+    return model, trace

@@ -61,6 +61,36 @@ def supcon_ratio_of_sums(z, y, tau) -> float:
     return sum(losses) / len(losses)
 
 
+def _logsumexp(values) -> float:
+    top = max(values)
+    return top + math.log(sum(math.exp(v - top) for v in values))
+
+
+def ntxent_simclr_log(zi, zj, tau) -> float:
+    """`ntxent_simclr` summed in log space, finite at any tau > 0."""
+    z = list(zi) + list(zj)
+    n = len(zi)
+    m = 2 * n
+    total = 0.0
+    for a in range(m):
+        p = (a + n) % m
+        den = [cosine(z[a], z[k]) / tau for k in range(m) if k != a and k != p]
+        total += _logsumexp(den) - cosine(z[a], z[p]) / tau
+    return total / m
+
+
+def supcon_ratio_of_sums_log(z, y, tau) -> float:
+    """`supcon_ratio_of_sums` summed in log space, finite at any tau > 0."""
+    m = len(y)
+    losses = []
+    for a in range(m):
+        pos = [cosine(z[a], z[p]) / tau for p in range(m) if p != a and y[p] == y[a]]
+        neg = [cosine(z[a], z[k]) / tau for k in range(m) if y[k] != y[a]]
+        if pos and neg:
+            losses.append(_logsumexp(neg) - _logsumexp(pos))
+    return sum(losses) / len(losses)
+
+
 def softmax_cross_entropy(logits, y) -> float:
     total = 0.0
     for i, row in enumerate(logits):

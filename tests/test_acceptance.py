@@ -21,7 +21,7 @@ from semicl.config import load_config
 from semicl.data import SemiLabeledDataset, SplitParams, TimeSeriesSample, make_split
 from semicl.metrics import auprc, auroc_ovr
 from semicl.nn import dense_3x3_weight_count, factored_pair_weight_count
-from semicl.experiments import run_single
+from semicl.experiments import RunLog, _run_grid
 from semicl.synth import oracle_accuracy, synth_generate
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -243,24 +243,20 @@ def test_criterion_4_split_invariants():
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="session")
-def reference_runs():
+def reference_runs(tmp_path_factory):
     exp = load_config(REFERENCE_CONFIG)
-    bundle = {"compare": {}, "ablation": {}, "full_ratio": {}}
-    for ratio in RATIOS:
-        for regime in ("end_to_end", "two_stage"):
-            runs = [run_single(exp, seed=s, regime=regime, ablation="full", label_ratio=ratio)
-                    for s in SEEDS]
-            bundle["compare"][(ratio, regime)] = runs
+    compare = [(r, "full", ratio) for ratio in RATIOS for r in ("end_to_end", "two_stage")]
+    ablations = [("end_to_end", a, 0.1) for a in ("no_Lu", "no_Ls")]
+    full_ratio = ("end_to_end", "full", 1.0)
+    cells = compare + ablations + [full_ratio]
+    log = RunLog(tmp_path_factory.mktemp("reference_runs"))
+    grid = dict(zip(cells, _run_grid(exp, cells, list(SEEDS), log)))
+    bundle = {
+        "compare": {(ratio, regime): grid[regime, a, ratio] for regime, a, ratio in compare},
+        "ablation": {a: grid[regime, a, ratio] for regime, a, ratio in ablations},
+        "full_ratio": grid[full_ratio],
+    }
     bundle["ablation"]["full"] = bundle["compare"][(0.1, "end_to_end")]
-    for ablation in ("no_Lu", "no_Ls"):
-        bundle["ablation"][ablation] = [
-            run_single(exp, seed=s, regime="end_to_end", ablation=ablation, label_ratio=0.1)
-            for s in SEEDS
-        ]
-    bundle["full_ratio"] = [
-        run_single(exp, seed=s, regime="end_to_end", ablation="full", label_ratio=1.0)
-        for s in SEEDS
-    ]
     return bundle
 
 

@@ -185,6 +185,17 @@ def test_backward_empty_tape_raises():
         tape.backward(Tensor(1.0, requires_grad=True))
 
 
+def test_backward_of_a_loss_from_another_tape_raises():
+    x = Tensor(RNG.normal(size=(3,)), requires_grad=True)
+    with Tape():
+        y = ad.sum(x)
+    with Tape() as other:
+        ad.sum(x)
+    with pytest.raises(TapeStateError):
+        other.backward(y)
+    assert x.grad is None
+
+
 def test_no_recording_without_tape():
     x = Tensor(RNG.normal(size=(3,)), requires_grad=True)
     y = ad.sum(x)

@@ -5,6 +5,8 @@ from semicl.cli import main
 from semicl.config import load_config
 from semicl.data import load_csv
 from semicl.errors import ConfigError
+from semicl.experiments import prepare_data, run_single
+from semicl.metrics import METRIC_NAMES
 
 QUICK_CFG = """
 data.source = synth
@@ -130,6 +132,33 @@ def test_eval_on_saved_checkpoint(quick_config, tmp_path):
     assert rows[1] == train_row
 
 
+def trained_checkpoint(config, tmp_path):
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(config), "--out", str(out), "--seeds", "1"]) == 0
+    return out / "model.ckpt"
+
+
+@pytest.mark.parametrize("edit", [lambda b: b[:-9], lambda b: b + b"\0" * 8],
+                         ids=["truncated", "trailing_bytes"])
+def test_eval_rejects_bad_checkpoint_payload(quick_config, tmp_path, capsys, edit):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(edit(trained_checkpoint(quick_config, tmp_path).read_bytes()))
+    code = main(["eval", "--config", str(quick_config), "--out", str(tmp_path / "eval"),
+                 "--seeds", "1", "--model", str(bad)])
+    assert code == 2
+    assert "payload" in capsys.readouterr().err
+
+
+def test_eval_rejects_checkpoint_of_another_class_count(quick_config, tmp_path, capsys):
+    ckpt = trained_checkpoint(quick_config, tmp_path)
+    code = main(["eval", "--config", str(quick_config), "--out", str(tmp_path / "eval"),
+                 "--seeds", "1", "--model", str(ckpt), "--override", "data.num_classes=3",
+                 "--override", "data.length=32"])
+    assert code == 2
+    assert "error[config]" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "report.csv").exists()
+
+
 def test_ablate_rows_and_shared_hashes(quick_config, tmp_path):
     out = tmp_path / "ablate"
     code = main(["ablate", "--config", str(quick_config), "--out", str(out),
@@ -181,6 +210,25 @@ def test_compare_regimes_pairing(quick_config, tmp_path):
     assert len(summary) == 1 + 2 * 2 * 2  # header + (ratio x regime x {mean,std})
 
 
+def test_grid_commands_agree_on_shared_cells(quick_config, tmp_path):
+    common = ["--config", str(quick_config), "--seeds", "1"]
+    assert main(["train", *common, "--out", str(tmp_path / "tr"), "--label-ratio", "0.5"]) == 0
+    assert main(["ablate", *common, "--out", str(tmp_path / "ab"), "--label-ratio", "0.5"]) == 0
+    assert main(["compare-regimes", *common, "--out", str(tmp_path / "cmp"),
+                 "--ratios", "0.5"]) == 0
+    n = len(METRIC_NAMES)
+    train_row = (tmp_path / "tr" / "report.csv").read_text().splitlines()[1].split(",")
+    ablate_rows = [r.split(",") for r in (tmp_path / "ab" / "ablation.csv").read_text().splitlines()]
+    ablate_full = next(r for r in ablate_rows if r[:2] == ["full", "1"])
+    compare = {r[1]: r[3:3 + n] for r in (line.split(",") for line in
+               (tmp_path / "cmp" / "compare.csv").read_text().splitlines()[1:])}
+    assert train_row[1:1 + n] == ablate_full[2:2 + n] == compare["end_to_end"]
+    # The two-stage cell ran after the end-to-end cell, on the same prepared data.
+    exp = load_config(quick_config, overrides=["data.label_ratio=0.5"])
+    fresh = run_single(exp, 1, "two_stage", "full", prepare_data(exp, 1, label_ratio=0.5))
+    assert compare["two_stage"] == [repr(float(fresh.metrics[m])) for m in METRIC_NAMES]
+
+
 def test_synth_gen_round_trip(quick_config, tmp_path):
     out = tmp_path / "gen"
     code = main(["synth-gen", "--config", str(quick_config), "--out", str(out), "--seeds", "7"])
@@ -204,3 +252,10 @@ def test_config_duplicate_key_rejected(tmp_path):
 def test_config_closed_schema():
     with pytest.raises(ConfigError):
         load_config(__file__)  # a Python file is not a valid config
+
+
+@pytest.mark.parametrize("key,value", [("losses.tau", "nan"), ("train.learning_rate", "nan"),
+                                       ("losses.lambda1", "inf"), ("split.test_fraction", "nan")])
+def test_config_rejects_non_finite_floats(quick_config, key, value):
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(quick_config, overrides=[f"{key}={value}"])

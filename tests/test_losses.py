@@ -104,6 +104,27 @@ def test_unsup_scale_and_permutation_invariance_property(n, d, tau, scale, seed)
     assert abs(base - permuted) < 1e-9
 
 
+@given(st.integers(2, 5), st.integers(2, 6), st.floats(-4.0, 1.0), st.integers(0, 100_000))
+@settings(max_examples=40, deadline=None)
+def test_contrastive_losses_match_log_space_oracle_at_any_tau(n, d, log_tau, seed):
+    # Masked-out similarities can exceed a row's shift by up to 2/tau; at small
+    # tau they must not overflow into the value or the gradient.
+    tau = 10.0 ** log_tau
+    rng = np.random.default_rng(seed)
+    zi, zj = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    z, y = np.concatenate([zi, zj]), np.arange(2 * n) % 2
+    ti, tj, tz = (Tensor(a, requires_grad=True) for a in (zi, zj, z))
+    with Tape() as tape:
+        lu = L.unsup_contrastive(ti, tj, tau)
+        ls = L.sup_contrastive(tz, y, tau)
+        total = ad.add(lu, ls)
+    tape.backward(total)
+    tol = dict(rel=1e-9, abs=1e-10 * (1.0 + 1.0 / tau))
+    assert lu.item() == pytest.approx(oracles.ntxent_simclr_log(zi, zj, tau), **tol)
+    assert ls.item() == pytest.approx(oracles.supcon_ratio_of_sums_log(z, y, tau), **tol)
+    assert all(np.isfinite(t.grad).all() for t in (ti, tj, tz))
+
+
 def test_unsup_batch_of_one_rejected():
     z = RNG.normal(size=(1, 4))
     with pytest.raises(DegenerateBatchError):

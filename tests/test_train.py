@@ -16,9 +16,7 @@ from semicl.train import (
     TRACE_HEADER,
     TrainConfig,
     evaluate,
-    fit_end_to_end,
-    fit_two_stage,
-    step_end_to_end,
+    fit,
 )
 
 TINY_ENC = EncoderConfig(in_channels=1, num_blocks=1, dilations=(1,),
@@ -89,6 +87,12 @@ def manual_loss(model, x_u, x_l, y_l, weights):
     return L.hybrid(lu, ls, lc, weights).item()
 
 
+def train_step(model, opt, cfg, x_u, x_l, y_l):
+    """One step of the stage runner under the config's (ablated) weights."""
+    return tr._train_step(model, opt, cfg.effective_weights(), cfg, x_u, x_l, y_l,
+                          stream(0, "augment"))
+
+
 def test_sgd_step_matches_finite_difference_oracle():
     rng = np.random.default_rng(3)
     model = tiny_model(seed=3)
@@ -124,7 +128,7 @@ def test_sgd_step_matches_finite_difference_oracle():
         fd_grads[name] = g.reshape(p.data.shape)
 
     opt = SGD(model.parameters(), lr=0.1)
-    step_end_to_end(model, opt, x_u, x_l, y_l, cfg, stream(0, "augment"))
+    train_step(model, opt, cfg, x_u, x_l, y_l)
     for name, p in model.parameters().items():
         expected = before[name] - 0.1 * fd_grads[name]
         assert np.abs(p.data - expected).max() < 1e-6, name
@@ -139,7 +143,7 @@ def test_step_reduces_to_supervised_cross_entropy():
     model_a = tiny_model(seed=7)
     cfg = tiny_cfg(weights=LossWeights(0.0, 0.0, 1.0, tau=0.5))
     opt_a = SGD(model_a.parameters(), lr=0.05)
-    step_end_to_end(model_a, opt_a, x_u, x_l, y_l, cfg, stream(0, "augment"))
+    train_step(model_a, opt_a, cfg, x_u, x_l, y_l)
 
     model_b = tiny_model(seed=7)
     opt_b = SGD(model_b.parameters(), lr=0.05)
@@ -164,7 +168,7 @@ def test_zeroed_weight_removes_gradient_contribution_exactly():
     model_a = tiny_model(seed=3)
     cfg = tiny_cfg(weights=LossWeights(1.0, 0.0, 1.0, tau=0.5))
     opt_a = SGD(model_a.parameters(), lr=0.05)
-    step_end_to_end(model_a, opt_a, None, x_l, y_l, cfg, stream(0, "augment"))
+    train_step(model_a, opt_a, cfg, None, x_l, y_l)
 
     model_b = tiny_model(seed=3)
     opt_b = SGD(model_b.parameters(), lr=0.05)
@@ -189,9 +193,8 @@ def test_step_returns_exact_weighted_sum():
     cfg = tiny_cfg()
     w = cfg.effective_weights()
     opt = SGD(model.parameters(), lr=0.01)
-    parts = step_end_to_end(model, opt, rng.normal(size=(3, 1, 8)),
-                            rng.normal(size=(4, 1, 8)), np.array([0, 1, 0, 1]),
-                            cfg, stream(0, "augment"))
+    parts = train_step(model, opt, cfg, rng.normal(size=(3, 1, 8)),
+                       rng.normal(size=(4, 1, 8)), np.array([0, 1, 0, 1]))
     expected = w.lambda1 * parts["loss_u"] + w.lambda2 * parts["loss_s"] + w.lambda3 * parts["loss_c"]
     assert parts["hybrid"] == expected
 
@@ -202,13 +205,11 @@ def test_step_precondition_violations():
     cfg = tiny_cfg()
     opt = SGD(model.parameters(), lr=0.01)
     with pytest.raises(ContractError):
-        step_end_to_end(model, opt, rng.normal(size=(1, 1, 8)),
-                        rng.normal(size=(4, 1, 8)), np.array([0, 1, 0, 1]),
-                        cfg, stream(0, "augment"))
+        train_step(model, opt, cfg, rng.normal(size=(1, 1, 8)),
+                   rng.normal(size=(4, 1, 8)), np.array([0, 1, 0, 1]))
     with pytest.raises(ContractError):
-        step_end_to_end(model, opt, rng.normal(size=(3, 1, 8)),
-                        rng.normal(size=(4, 1, 8)), np.array([1, 1, 1, 1]),
-                        cfg, stream(0, "augment"))
+        train_step(model, opt, cfg, rng.normal(size=(3, 1, 8)),
+                   rng.normal(size=(4, 1, 8)), np.array([1, 1, 1, 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,7 @@ def test_fit_end_to_end_deterministic():
     finals = []
     for _ in range(2):
         ds_i, plan_i = tiny_data()
-        model, trace = fit_end_to_end(tiny_model(seed=3), ds_i, plan_i, cfg)
+        model, trace = fit(tiny_model(seed=3), ds_i, plan_i, cfg)
         traces.append("\n".join(r.csv_row() for r in trace.records))
         finals.append({k: p.data.copy() for k, p in model.parameters().items()})
     assert traces[0] == traces[1]
@@ -233,7 +234,7 @@ def test_fit_end_to_end_deterministic():
 def test_fit_records_one_row_per_epoch_with_header():
     ds, plan = tiny_data()
     cfg = tiny_cfg(epochs=3, optimizer="adam", learning_rate=1e-3)
-    _, trace = fit_end_to_end(tiny_model(), ds, plan, cfg)
+    _, trace = fit(tiny_model(), ds, plan, cfg)
     assert len(trace.records) == 3
     assert TRACE_HEADER.split(",")[:5] == ["epoch", "L_u", "L_s", "L_c", "hybrid"]
     for rec in trace.records:
@@ -244,7 +245,7 @@ def test_fit_skips_unsup_when_pool_empty(caplog):
     ds, plan = tiny_data()
     cfg = tiny_cfg(optimizer="adam", learning_rate=1e-3)
     with caplog.at_level("WARNING"):
-        _, trace = fit_end_to_end(tiny_model(), ds, plan, cfg)  # fully labeled
+        _, trace = fit(tiny_model(), ds, plan, cfg)  # fully labeled
     assert any("skipping L_u" in rec.message for rec in caplog.records)
     assert all(rec.loss_u == 0.0 for rec in trace.records)
 
@@ -254,7 +255,7 @@ def test_fit_divergence_carries_epoch_context():
     ds, plan = tiny_data()
     cfg = tiny_cfg(learning_rate=1e30, epochs=3)
     with pytest.raises(DivergenceError, match="epoch"):
-        fit_end_to_end(tiny_model(), ds, plan, cfg)
+        fit(tiny_model(), ds, plan, cfg)
 
 
 def test_evaluate_requires_labeled_samples():
@@ -283,7 +284,7 @@ def test_two_stage_optimizer_scopes(monkeypatch):
     monkeypatch.setattr(tr, "make_optimizer", spy)
     cfg = tiny_cfg(regime="two_stage", optimizer="adam", learning_rate=1e-3,
                    epochs=1, pretrain_epochs=1)
-    fit_two_stage(tiny_model(), masked, plan, cfg)
+    fit(tiny_model(), masked, plan, cfg)
     assert len(captured) == 2
     assert all(name.startswith("enc.") for name in captured[0])
     assert set(captured[1]) == set(tiny_model().parameters())
@@ -291,7 +292,7 @@ def test_two_stage_optimizer_scopes(monkeypatch):
     captured.clear()
     cfg = tiny_cfg(regime="two_stage", optimizer="adam", learning_rate=1e-3,
                    epochs=1, pretrain_epochs=1, freeze_encoder=True)
-    fit_two_stage(tiny_model(), masked, plan, cfg)
+    fit(tiny_model(), masked, plan, cfg)
     assert all(name.startswith("clf.") for name in captured[1])
 
 
@@ -316,7 +317,7 @@ def test_two_stage_stage1_leaves_classifier_bits_unchanged(monkeypatch):
     monkeypatch.setattr(tr, "make_optimizer", spy)
     cfg = tiny_cfg(regime="two_stage", optimizer="adam", learning_rate=1e-2,
                    epochs=1, pretrain_epochs=3)
-    fit_two_stage(model, masked, plan, cfg)
+    fit(model, masked, plan, cfg)
     assert observed["n"] == 2
     for k, v in clf_before.items():
         assert np.array_equal(v, observed["clf_after_stage1"][k]), k
@@ -329,7 +330,7 @@ def test_two_stage_frozen_encoder_untouched_without_pretraining():
     clf_before = {k: p.data.copy() for k, p in model.classifier_parameters().items()}
     cfg = tiny_cfg(regime="two_stage", optimizer="adam", learning_rate=1e-2,
                    epochs=2, pretrain_epochs=0, freeze_encoder=True)
-    fit_two_stage(model, ds, plan, cfg)
+    fit(model, ds, plan, cfg)
     for k, v in before.items():
         assert np.array_equal(v, model.parameters()[k].data), k
     assert any(
@@ -344,7 +345,7 @@ def test_two_stage_trace_covers_both_stages():
     masked = hide_train_labels(ds, plan, 0.5, seed=0)
     cfg = tiny_cfg(regime="two_stage", optimizer="adam", learning_rate=1e-3,
                    epochs=2, pretrain_epochs=3)
-    _, trace = fit_two_stage(tiny_model(), masked, plan, cfg)
+    _, trace = fit(tiny_model(), masked, plan, cfg)
     assert len(trace.records) == 5
     assert all(rec.loss_c == 0.0 for rec in trace.records[:3])
     assert all(rec.loss_u == 0.0 for rec in trace.records[3:])
@@ -354,11 +355,11 @@ def test_two_stage_zero_pretrain_equals_skipped_unsup(caplog):
     ds, plan = tiny_data()  # fully labeled: unsupervised pool is empty
     cfg_a = tiny_cfg(regime="two_stage", optimizer="adam", learning_rate=1e-3,
                      epochs=2, pretrain_epochs=0)
-    model_a, trace_a = fit_two_stage(tiny_model(seed=4), ds, plan, cfg_a)
+    model_a, trace_a = fit(tiny_model(seed=4), ds, plan, cfg_a)
     with caplog.at_level("WARNING"):
         cfg_b = tiny_cfg(regime="two_stage", optimizer="adam", learning_rate=1e-3,
                          epochs=2, pretrain_epochs=5)
-        model_b, trace_b = fit_two_stage(tiny_model(seed=4), ds, plan, cfg_b)
+        model_b, trace_b = fit(tiny_model(seed=4), ds, plan, cfg_b)
     assert any("skipping pretraining" in r.message for r in caplog.records)
     assert len(trace_a.records) == len(trace_b.records) == 2
     for k, p in model_a.parameters().items():
@@ -370,15 +371,15 @@ def test_two_stage_transfer_mode():
     ds_b, plan_b = tiny_data(seed=2)
     cfg = tiny_cfg(regime="two_stage", optimizer="adam", learning_rate=1e-3,
                    epochs=1, pretrain_epochs=1)
-    model, trace = fit_two_stage(tiny_model(), ds_b, plan_b, cfg,
-                                 pretrain_dataset=ds_a, pretrain_plan=plan_a)
+    model, trace = fit(tiny_model(), ds_b, plan_b, cfg,
+                       pretrain_dataset=ds_a, pretrain_plan=plan_a)
     assert len(trace.records) == 2
 
     bad = synth_generate(24, 2, 2, 16, 0.2, seed=3, num_subjects=4)
     bad_plan = make_split(bad, "trial_dependent", SplitParams(), seed=0)
     with pytest.raises(ConfigError):
-        fit_two_stage(tiny_model(), ds_b, plan_b, cfg,
-                      pretrain_dataset=bad, pretrain_plan=bad_plan)
+        fit(tiny_model(), ds_b, plan_b, cfg,
+            pretrain_dataset=bad, pretrain_plan=bad_plan)
 
 
 def test_two_stage_with_ls_uses_supervised_contrastive():
@@ -387,7 +388,7 @@ def test_two_stage_with_ls_uses_supervised_contrastive():
     masked = hide_train_labels(ds, plan, 0.5, seed=0)
     cfg = tiny_cfg(regime="two_stage", ablation="two_stage_with_Ls",
                    optimizer="adam", learning_rate=1e-3, epochs=2, pretrain_epochs=1)
-    _, trace = fit_two_stage(tiny_model(), masked, plan, cfg)
+    _, trace = fit(tiny_model(), masked, plan, cfg)
     fine_tune = trace.records[1:]
     assert any(rec.loss_s != 0.0 for rec in fine_tune)
 
@@ -409,7 +410,7 @@ def test_steps_per_epoch_follow_larger_pool(monkeypatch):
 
     monkeypatch.setattr(tr, "_train_step", spy)
     cfg = tiny_cfg(optimizer="adam", learning_rate=1e-3, epochs=2, batch_size=8)
-    fit_end_to_end(tiny_model(), masked, plan, cfg)
+    fit(tiny_model(), masked, plan, cfg)
     # Unlabeled pool is larger: ceil(27 / 8) = 4 steps per epoch.
     assert len(calls) == 2 * 4
 
