@@ -1,9 +1,11 @@
 """Stochastic augmentations that produce the two views of an unlabeled sample.
 
-Augmentations act on raw (channels, length) float arrays, preserve shape, and
-draw all randomness from an explicitly passed numpy Generator, so a (seed,
-stream) pair fully determines the output. Timestamp masking zeroes whole time
-columns (every channel at a masked step) via independent Bernoulli draws.
+Augmentations act on raw (..., channels, length) float arrays, preserve shape,
+and draw all randomness from an explicitly passed numpy Generator, so a (seed,
+stream) pair fully determines the output. A batch draws the same numbers, in
+the same order, as its series one after another. Timestamp masking zeroes
+whole time columns (every channel at a masked step) via independent Bernoulli
+draws.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def temporal_mask(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarr
     if not (0.0 <= p <= 1.0):
         raise ContractError(f"mask probability must be in [0, 1], got {p}")
     x = np.asarray(x, dtype=np.float64)
-    keep = rng.random(x.shape[-1]) >= p
+    keep = rng.random(x.shape[:-2] + (1, x.shape[-1])) >= p
     return x * keep
 
 
@@ -55,6 +57,8 @@ def apply(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndar
     return jitter(x, spec.jitter_sigma, rng)
 
 
-def make_views(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator):
-    """Two independent random views of one sample."""
-    return apply(x, spec, rng), apply(x, spec, rng)
+def make_views(x: np.ndarray, spec: AugmentSpec, rng: np.random.Generator) -> np.ndarray:
+    """Two independent random views of each series: (..., C, L) -> (..., 2, C, L)."""
+    x = np.asarray(x, dtype=np.float64)
+    return apply(np.broadcast_to(x[..., None, :, :], x.shape[:-2] + (2,) + x.shape[-2:]),
+                 spec, rng)

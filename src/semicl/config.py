@@ -245,8 +245,3 @@ class ExperimentConfig:
             lines.append(f"{key} = {val}")
         return "\n".join(lines) + "\n"
 
-
-def default_config() -> ExperimentConfig:
-    cfg = ExperimentConfig(values={k: d for k, (_, d) in SCHEMA.items()})
-    cfg.validate()
-    return cfg

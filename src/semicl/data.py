@@ -1,12 +1,16 @@
 """Semi-labeled dataset model, CSV ingestion, label-ratio subsetting, splits.
 
+A dataset is four read-only columns (see `SemiLabeledDataset`); every function
+here works on whole columns and returns a new dataset.
+
 File formats
 ------------
 Sample CSV: header ``sample_id,subject_id,trial_id,label,channel,v0,...,v{L-1}``
 with one row per channel; ``label`` is an integer class id or -1 for
 unlabeled. Values are decimal doubles and round-trip bit-exactly (written with
-``repr``). Manifest: plain-text lines ``path,num_classes,channels,length``
-where ``path`` is resolved relative to the manifest's directory.
+``repr``); a non-finite value is a parse error. Manifest: plain-text lines
+``path,num_classes,channels,length`` where ``path`` is resolved relative to
+the manifest's directory; all lines agree on the last three fields.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import csv
 import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,64 +40,74 @@ UNLABELED = -1
 PATTERNS = ("trial_dependent", "leave_trials_out", "leave_subjects_out")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TimeSeriesSample:
-    """One multichannel series with optional label and group ids."""
+    """One row of a dataset, as listed by `SemiLabeledDataset.samples`."""
 
-    values: np.ndarray  # (channels, length) float64
-    label: int = UNLABELED
-    subject_id: str = ""
-    trial_id: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] < 1:
-            raise ContractError(f"sample values must be (channels, length), got {self.values.shape}")
-        self.label = int(self.label)
+    values: np.ndarray  # (channels, length) float64, read-only
+    label: int
+    subject_id: str
+    trial_id: str
 
     @property
     def is_labeled(self) -> bool:
         return self.label != UNLABELED
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SemiLabeledDataset:
-    """All samples plus class count and the label ratio they were built with."""
+    """N series as four read-only columns, plus class count and label ratio.
 
-    samples: list[TimeSeriesSample]
+    ``values`` is (N, channels, length) float64, ``labels`` (N,) int64 with
+    UNLABELED for a hidden label, ``subject_ids`` and ``trial_ids`` (N,) str.
+    A changed dataset is a new one, made with `dataclasses.replace`.
+    """
+
+    values: np.ndarray
+    labels: np.ndarray
+    subject_ids: np.ndarray
+    trial_ids: np.ndarray
     num_classes: int
     label_ratio: float = 1.0
 
     def __post_init__(self):
         if self.num_classes < 2:
             raise ContractError(f"num_classes must be >= 2, got {self.num_classes}")
-        channels = {s.values.shape[0] for s in self.samples}
-        if len(channels) > 1:
-            raise SchemaError(f"inconsistent channel counts across samples: {sorted(channels)}")
-        for s in self.samples:
-            if s.label != UNLABELED and not (0 <= s.label < self.num_classes):
-                raise LabelError(f"label {s.label} outside [0, {self.num_classes})")
+        for name, dtype in (("values", np.float64), ("labels", np.int64),
+                            ("subject_ids", str), ("trial_ids", str)):
+            column = np.asarray(getattr(self, name), dtype=dtype).view()
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.values.ndim != 3 or self.values.shape[2] < 1:
+            raise ContractError(f"values must be (samples, channels, length), got {self.values.shape}")
+        if any(getattr(self, c).shape != (len(self),) for c in ("labels", "subject_ids", "trial_ids")):
+            raise ContractError(f"every column needs {len(self)} rows")
+        bad = self.labels[(self.labels != UNLABELED)
+                          & ((self.labels < 0) | (self.labels >= self.num_classes))]
+        if bad.size:
+            raise LabelError(f"label {bad[0]} outside [0, {self.num_classes})")
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.values.shape[0]
 
     @property
     def channels(self) -> int:
-        return self.samples[0].values.shape[0] if self.samples else 0
-
-    def labeled_indices(self) -> list[int]:
-        return [i for i, s in enumerate(self.samples) if s.is_labeled]
-
-    def unlabeled_indices(self) -> list[int]:
-        return [i for i, s in enumerate(self.samples) if not s.is_labeled]
+        return self.values.shape[1]
 
     @property
     def num_labeled(self) -> int:
-        return len(self.labeled_indices())
+        return int((self.labels != UNLABELED).sum())
 
     @property
     def num_unlabeled(self) -> int:
-        return len(self.unlabeled_indices())
+        return len(self) - self.num_labeled
+
+    @cached_property
+    def samples(self) -> tuple[TimeSeriesSample, ...]:
+        """Row view for readers that walk samples one at a time; built once."""
+        return tuple(TimeSeriesSample(v, label, subject, trial) for v, label, subject, trial
+                     in zip(self.values, self.labels.tolist(), self.subject_ids.tolist(),
+                            self.trial_ids.tolist()))
 
 
 @dataclass(frozen=True)
@@ -128,7 +143,11 @@ def _expected_header(length: int) -> list[str]:
 
 
 def load_csv(manifest_path) -> SemiLabeledDataset:
-    """Load a dataset from a manifest of per-sample CSV files."""
+    """Load a dataset from a manifest of per-sample CSV files.
+
+    Rows are parsed straight into one (N, channels, length) array, allocated
+    up front for as many samples as the files' line count can hold.
+    """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     entries = []
@@ -145,21 +164,64 @@ def load_csv(manifest_path) -> SemiLabeledDataset:
             raise SchemaError(f"{manifest_path}:{ln}: {e}") from e
     if not entries:
         raise DataError(f"{manifest_path}: empty manifest")
-    num_classes = entries[0][1]
-    channels = entries[0][2]
-    if any(e[1] != num_classes or e[2] != channels for e in entries):
-        raise SchemaError(f"{manifest_path}: num_classes/channels differ between manifest entries")
+    _, num_classes, channels, length = entries[0]
+    if channels < 1 or any(e[1:] != (num_classes, channels, length) for e in entries):
+        raise SchemaError(f"{manifest_path}: entries need channels >= 1 and one num_classes/channels/length")
 
-    samples: list[TimeSeriesSample] = []
-    for rel, _, _, length in entries:
-        samples.extend(_load_sample_csv(base / rel, num_classes, channels, length))
-    if not samples:
-        raise DataError(f"{manifest_path}: no samples found")
-    return SemiLabeledDataset(samples=samples, num_classes=num_classes)
+    paths = [base / e[0] for e in entries]
+    # A complete sample takes `channels` rows, so at most this many fit in the files.
+    capacity = sum(_count_newlines(path) for path in paths) // channels
+    values = np.empty((capacity, channels, length), dtype=np.float64)
+    labels = np.empty(capacity, dtype=np.int64)
+    subjects, trials = [""] * capacity, [""] * capacity
+    seen = np.zeros((capacity, channels), dtype=bool)
+    n = 0
+    for path in paths:
+        ids: dict[str, int] = {}
+        for ln, row in _data_rows(path, length):
+            if len(row) != 5 + length:
+                raise ParseError(f"{path}:{ln}: expected {5 + length} fields, got {len(row)}")
+            sample_id, subject_id, trial_id, label_s, channel_s = row[:5]
+            try:
+                label = int(label_s)
+                channel = int(channel_s)
+                row_values = np.array(row[5:], dtype=np.float64)
+            except ValueError as e:
+                raise ParseError(f"{path}:{ln}: {e}") from e
+            if not np.isfinite(row_values).all():
+                raise ParseError(f"{path}:{ln}: non-finite sample value")
+            if label != UNLABELED and not (0 <= label < num_classes):
+                raise LabelError(f"{path}:{ln}: label {label} outside [0, {num_classes})")
+            if not (0 <= channel < channels):
+                raise SchemaError(f"{path}:{ln}: channel {channel} outside [0, {channels})")
+            i = ids.setdefault(sample_id, n + len(ids))
+            if i == capacity:
+                raise SchemaError(f"{path}:{ln}: more samples than rows for {channels} channels "
+                                  "each; some sample is missing channel rows")
+            if not seen[i].any():
+                subjects[i], trials[i], labels[i] = subject_id, trial_id, label
+            elif (subjects[i], trials[i], labels[i]) != (subject_id, trial_id, label):
+                raise SchemaError(f"{path}:{ln}: rows of sample {sample_id} disagree on metadata")
+            elif seen[i, channel]:
+                raise SchemaError(f"{path}:{ln}: duplicate channel {channel} for sample {sample_id}")
+            values[i, channel] = row_values
+            seen[i, channel] = True
+        if not ids:
+            raise DataError(f"{path}: no data rows")
+        missing = np.flatnonzero(~seen[n: n + len(ids)].all(axis=1))
+        if missing.size:
+            raise SchemaError(f"{path}: sample {list(ids)[missing[0]]} is missing channel rows")
+        n += len(ids)
+    return SemiLabeledDataset(values[:n], labels[:n], subjects[:n], trials[:n], num_classes)
 
 
-def _load_sample_csv(path: Path, num_classes: int, channels: int, length: int):
-    rows_by_sample: dict[str, dict] = {}
+def _count_newlines(path: Path) -> int:
+    with open(path, "rb") as fh:
+        return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
+def _data_rows(path: Path, length: int):
+    """(line number, fields) of each non-empty row after a header checked against `length`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -170,61 +232,24 @@ def _load_sample_csv(path: Path, num_classes: int, channels: int, length: int):
             raise SchemaError(
                 f"{path}: header does not match the sample schema for length {length}"
             )
-        count = 0
         for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            count += 1
-            if len(row) != 5 + length:
-                raise ParseError(f"{path}:{ln}: expected {5 + length} fields, got {len(row)}")
-            sample_id, subject_id, trial_id, label_s, channel_s = row[:5]
-            try:
-                label = int(label_s)
-                channel = int(channel_s)
-                values = np.array([float(v) for v in row[5:]], dtype=np.float64)
-            except ValueError as e:
-                raise ParseError(f"{path}:{ln}: {e}") from e
-            if label != UNLABELED and not (0 <= label < num_classes):
-                raise LabelError(f"{path}:{ln}: label {label} outside [0, {num_classes})")
-            if not (0 <= channel < channels):
-                raise SchemaError(f"{path}:{ln}: channel {channel} outside [0, {channels})")
-            rec = rows_by_sample.setdefault(
-                sample_id,
-                {"subject": subject_id, "trial": trial_id, "label": label,
-                 "values": np.full((channels, length), np.nan)},
-            )
-            if (rec["subject"], rec["trial"], rec["label"]) != (subject_id, trial_id, label):
-                raise SchemaError(f"{path}:{ln}: rows of sample {sample_id} disagree on metadata")
-            if not np.isnan(rec["values"][channel]).all():
-                raise SchemaError(f"{path}:{ln}: duplicate channel {channel} for sample {sample_id}")
-            rec["values"][channel] = values
-    if count == 0:
-        raise DataError(f"{path}: no data rows")
-
-    samples = []
-    for sample_id, rec in rows_by_sample.items():
-        if np.isnan(rec["values"]).any():
-            raise SchemaError(f"{path}: sample {sample_id} is missing channel rows")
-        samples.append(TimeSeriesSample(values=rec["values"], label=rec["label"],
-                                        subject_id=rec["subject"], trial_id=rec["trial"]))
-    return samples
+            if row:
+                yield ln, row
 
 
 def write_csv(dataset: SemiLabeledDataset, csv_path, manifest_path=None) -> None:
     """Write a dataset (one CSV) and optionally a manifest pointing at it."""
-    if not dataset.samples:
+    if not len(dataset):
         raise DataError("refusing to write an empty dataset")
     csv_path = Path(csv_path)
-    length = dataset.samples[0].values.shape[1]
+    length = dataset.values.shape[2]
+    meta = zip(dataset.subject_ids.tolist(), dataset.trial_ids.tolist(), dataset.labels.tolist())
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_expected_header(length))
-        for i, s in enumerate(dataset.samples):
-            for ch in range(dataset.channels):
-                writer.writerow(
-                    [f"n{i:06d}", s.subject_id, s.trial_id, s.label, ch]
-                    + [repr(float(v)) for v in s.values[ch]]
-                )
+        for i, (subject, trial, label) in enumerate(meta):
+            for ch, row in enumerate(dataset.values[i].tolist()):
+                writer.writerow([f"n{i:06d}", subject, trial, label, ch] + [repr(v) for v in row])
     if manifest_path is not None:
         manifest_path = Path(manifest_path)
         rel = csv_path.name if csv_path.parent == manifest_path.parent else str(csv_path)
@@ -242,19 +267,23 @@ def apply_label_ratio(dataset: SemiLabeledDataset, ratio: float, seed: int) -> S
     unlabeled. Per-class quotas use largest-remainder rounding, so class
     proportions are preserved within one sample.
     """
+    return replace(dataset, labels=_ratio_labels(dataset.labels, ratio, seed), label_ratio=ratio)
+
+
+def _ratio_labels(labels: np.ndarray, ratio: float, seed: int) -> np.ndarray:
+    """`labels` with all but a stratified ceil(ratio*M) subset set to UNLABELED."""
     if not (0.0 < ratio <= 1.0):
         raise ContractError(f"label ratio must be in (0, 1], got {ratio}")
-    if dataset.num_unlabeled:
+    if (labels == UNLABELED).any():
         raise ContractError("apply_label_ratio expects a fully labeled dataset")
     if ratio == 1.0:
-        return replace(dataset, samples=list(dataset.samples), label_ratio=1.0)
+        return labels
 
-    m = len(dataset.samples)
+    m = len(labels)
     target = math.ceil(ratio * m)
-    by_class: dict[int, list[int]] = {}
-    for i, s in enumerate(dataset.samples):
-        by_class.setdefault(s.label, []).append(i)
-    classes = sorted(by_class)
+    # sorted(set()) rather than np.unique: the first np.unique call pays a lazy import.
+    classes = sorted(set(labels.tolist()))
+    by_class = {c: np.flatnonzero(labels == c) for c in classes}
     quotas = {c: int(math.floor(ratio * len(by_class[c]))) for c in classes}
     remainders = sorted(
         classes,
@@ -270,42 +299,30 @@ def apply_label_ratio(dataset: SemiLabeledDataset, ratio: float, seed: int) -> S
         )
 
     rng = stream(seed, "label_ratio")
-    keep: set[int] = set()
+    out = np.full(m, UNLABELED, dtype=np.int64)
     for c in classes:
-        idx = np.array(by_class[c])
-        perm = rng.permutation(len(idx))
-        keep.update(idx[perm[: quotas[c]]].tolist())
-
-    new_samples = []
-    for i, s in enumerate(dataset.samples):
-        if i in keep:
-            new_samples.append(replace(s))
-        else:
-            new_samples.append(replace(s, label=UNLABELED))
-    return replace(dataset, samples=new_samples, label_ratio=ratio)
+        idx = by_class[c]
+        keep = idx[rng.permutation(len(idx))[: quotas[c]]]
+        out[keep] = c
+    return out
 
 
 def hide_train_labels(dataset: SemiLabeledDataset, plan: SplitPlan, ratio: float,
                       seed: int) -> SemiLabeledDataset:
     """Apply the label ratio inside the train split only; test labels stay."""
     if ratio == 1.0:
-        return replace(dataset, samples=list(dataset.samples), label_ratio=1.0)
+        return replace(dataset, label_ratio=1.0)
     train = list(plan.train_indices)
-    sub = SemiLabeledDataset(
-        samples=[dataset.samples[i] for i in train],
-        num_classes=dataset.num_classes,
-    )
-    masked = apply_label_ratio(sub, ratio, seed)
-    new_samples = list(dataset.samples)
-    for pos, i in enumerate(train):
-        new_samples[i] = masked.samples[pos]
-    return replace(dataset, samples=new_samples, label_ratio=ratio)
+    labels = dataset.labels.copy()
+    labels[train] = _ratio_labels(labels[train], ratio, seed)
+    return replace(dataset, labels=labels, label_ratio=ratio)
 
 
 def labeled_subset_hash(dataset: SemiLabeledDataset, plan: SplitPlan) -> str:
     """Stable hash of which train samples are labeled (fairness audits)."""
-    visible = sorted(i for i in plan.train_indices if dataset.samples[i].is_labeled)
-    blob = ",".join(str(i) for i in visible).encode()
+    train = np.array(plan.train_indices, dtype=np.int64)
+    visible = np.sort(train[dataset.labels[train] != UNLABELED])
+    blob = ",".join(str(i) for i in visible.tolist()).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -328,60 +345,53 @@ def make_split(dataset: SemiLabeledDataset, pattern: str, params: SplitParams,
     """Build a train/test split under one of the three evaluation patterns."""
     if pattern not in PATTERNS:
         raise ContractError(f"unknown split pattern {pattern!r}; use one of {PATTERNS}")
-    n = len(dataset.samples)
+    n = len(dataset)
     if n < 2:
         raise SplitError(f"need at least 2 samples to split, got {n}")
     rng = stream(seed, "split")
+    test = np.zeros(n, dtype=bool)
 
     if pattern == "trial_dependent":
         if not (0.0 < params.test_fraction < 1.0):
             raise SplitError(f"test_fraction must be in (0, 1), got {params.test_fraction}")
         perm = rng.permutation(n)
         n_test = min(n - 1, max(1, round(params.test_fraction * n)))
-        test = perm[:n_test]
-        train = perm[n_test:]
+        test[perm[:n_test]] = True
     elif pattern == "leave_trials_out":
         _require_group_ids(dataset, pattern)
         k = params.holdout_trials
         if k < 1:
             raise SplitError(f"holdout_trials must be >= 1, got {k}")
-        by_subject: dict[str, dict[str, list[int]]] = {}
-        for i, s in enumerate(dataset.samples):
-            by_subject.setdefault(s.subject_id, {}).setdefault(s.trial_id, []).append(i)
-        test_list: list[int] = []
-        train_list: list[int] = []
-        for subj in sorted(by_subject):
-            trials = sorted(by_subject[subj])
+        for subj in sorted(set(dataset.subject_ids.tolist())):
+            mine = dataset.subject_ids == subj
+            trials = np.array(sorted(set(dataset.trial_ids[mine].tolist())))
             if len(trials) <= k:
                 raise SplitError(
                     f"subject {subj} has {len(trials)} trials; cannot hold out {k}"
                 )
-            held = set(rng.choice(len(trials), size=k, replace=False).tolist())
-            for t_pos, trial in enumerate(trials):
-                (test_list if t_pos in held else train_list).extend(by_subject[subj][trial])
-        train, test = np.array(train_list), np.array(test_list)
+            held = trials[rng.choice(len(trials), size=k, replace=False)]
+            test |= mine & np.isin(dataset.trial_ids, held)
     else:  # leave_subjects_out
         _require_group_ids(dataset, pattern)
         k = params.holdout_subjects
         if k < 1:
             raise SplitError(f"holdout_subjects must be >= 1, got {k}")
-        subjects = sorted({s.subject_id for s in dataset.samples})
+        subjects = np.array(sorted(set(dataset.subject_ids.tolist())))
         if len(subjects) <= k:
             raise SplitError(f"{len(subjects)} subjects; cannot hold out {k}")
-        held = set(np.array(subjects)[rng.choice(len(subjects), size=k, replace=False)].tolist())
-        test = np.array([i for i, s in enumerate(dataset.samples) if s.subject_id in held])
-        train = np.array([i for i, s in enumerate(dataset.samples) if s.subject_id not in held])
+        held = subjects[rng.choice(len(subjects), size=k, replace=False)]
+        test = np.isin(dataset.subject_ids, held)
 
     return SplitPlan(
         pattern=pattern,
-        train_indices=tuple(int(i) for i in sorted(train.tolist())),
-        test_indices=tuple(int(i) for i in sorted(test.tolist())),
+        train_indices=tuple(np.flatnonzero(~test).tolist()),
+        test_indices=tuple(np.flatnonzero(test).tolist()),
         seed=seed,
     )
 
 
 def _require_group_ids(dataset: SemiLabeledDataset, pattern: str) -> None:
-    if any(not s.subject_id or not s.trial_id for s in dataset.samples):
+    if ((dataset.subject_ids == "") | (dataset.trial_ids == "")).any():
         raise SplitError(f"pattern {pattern} requires subject and trial ids on every sample")
 
 
@@ -391,13 +401,11 @@ def _require_group_ids(dataset: SemiLabeledDataset, pattern: str) -> None:
 
 def zscore_by_train(dataset: SemiLabeledDataset, plan: SplitPlan) -> SemiLabeledDataset:
     """Per-channel z-score with statistics from the train split only."""
-    train_values = np.concatenate(
-        [dataset.samples[i].values for i in plan.train_indices], axis=1
-    )
+    # Rows of the train samples side by side: the summation order of the statistics.
+    train_values = np.concatenate(dataset.values[list(plan.train_indices)], axis=1)
     mean = train_values.mean(axis=1, keepdims=True)
     std = train_values.std(axis=1, keepdims=True)
     std = np.where(std > 0.0, std, 1.0)
-    new_samples = [
-        replace(s, values=(s.values - mean) / std) for s in dataset.samples
-    ]
-    return replace(dataset, samples=new_samples)
+    values = dataset.values - mean
+    values /= std
+    return replace(dataset, values=values)

@@ -226,18 +226,19 @@ def load_checkpoint(path) -> EncoderClassifier:
     cut = blob.find(marker)
     if cut < 0:
         raise SchemaError(f"checkpoint {path}: missing DATA marker")
-    header = blob[:cut].decode("ascii").splitlines()
+    try:
+        header = blob[:cut].decode("ascii").splitlines()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"checkpoint {path}: header is not ASCII ({e})") from e
     payload = blob[cut + len(marker):]
     if not header or header[0] != CHECKPOINT_MAGIC:
         raise SchemaError(f"checkpoint {path}: bad magic line")
     fields = {}
     idx = 1
-    while "=" in header[idx]:
+    while idx < len(header) and "=" in header[idx]:
         key, val = header[idx].split("=", 1)
         fields[key] = val
         idx += 1
-        if idx >= len(header):
-            break
     try:
         cfg = EncoderConfig(
             in_channels=int(fields["in_channels"]),
@@ -250,27 +251,23 @@ def load_checkpoint(path) -> EncoderClassifier:
         count = int(fields["tensors"])
     except (KeyError, ValueError) as e:
         raise SchemaError(f"checkpoint {path}: bad header field ({e})") from e
-    specs = []
-    for line in header[idx:]:
-        parts = line.split()
-        specs.append((parts[0], tuple(int(d) for d in parts[1:])))
+    try:
+        specs = [(parts[0], tuple(int(d) for d in parts[1:]))
+                 for parts in map(str.split, header[idx:])]
+    except (IndexError, ValueError) as e:
+        raise SchemaError(f"checkpoint {path}: bad tensor line ({e})") from e
     if len(specs) != count:
         raise SchemaError(f"checkpoint {path}: expected {count} tensors, header lists {len(specs)}")
 
     model = EncoderClassifier(cfg, num_classes)
-    if [s[0] for s in specs] != list(model._params):
-        raise SchemaError(f"checkpoint {path}: parameter names do not match this architecture")
-    expected = 8 * sum(int(np.prod(shape)) for _, shape in specs)
+    if specs != [(name, t.shape) for name, t in model._params.items()]:
+        raise SchemaError(f"checkpoint {path}: tensor names or shapes do not match this architecture")
+    expected = 8 * sum(t.size for t in model._params.values())
     if len(payload) != expected:
         raise SchemaError(f"checkpoint {path}: payload has {len(payload)} bytes, expected {expected}")
     offset = 0
-    for name, shape in specs:
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += n * 8
-        if model._params[name].shape != shape:
-            raise SchemaError(
-                f"checkpoint {path}: tensor {name} has shape {shape}, expected {model._params[name].shape}"
-            )
-        model._params[name].data = arr.astype(np.float64)
+    for t in model._params.values():
+        t.data = np.frombuffer(payload, dtype="<f8", count=t.size,
+                               offset=offset).reshape(t.shape).astype(np.float64)
+        offset += t.size * 8
     return model

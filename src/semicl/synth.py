@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import SemiLabeledDataset, TimeSeriesSample
+from .data import SemiLabeledDataset
 from .errors import ContractError
 from .rng import stream
 
@@ -47,49 +47,38 @@ def synth_generate(num_samples: int, num_classes: int, channels: int, length: in
         raise ContractError("channels, length, and num_subjects must be positive")
     if noise_sigma < 0:
         raise ContractError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    freqs = class_frequencies(num_classes, length)
+    freqs = np.array(class_frequencies(num_classes, length))
     rng = stream(seed, "synth")
     t = np.arange(length) / length
-    samples = []
-    trial_counter = [0] * num_subjects
+    phases = np.empty((num_samples, channels, 1))
+    noise = np.zeros((num_samples, channels, length))
+    # Phase then noise, sample by sample: the stream order that fixes each dataset.
     for i in range(num_samples):
-        label = i % num_classes
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=(channels, 1))
-        clean = np.sin(2.0 * np.pi * freqs[label] * t[None, :] + phases)
-        noise = rng.normal(0.0, noise_sigma, size=(channels, length)) if noise_sigma > 0 else 0.0
-        # Advance the subject every num_classes samples so each subject sees
-        # every class; subject = i % num_subjects would pin one class per
-        # subject whenever num_classes divides num_subjects, degenerating the
-        # leave-subjects-out split.
-        subj = (i // num_classes) % num_subjects
-        samples.append(
-            TimeSeriesSample(
-                values=clean + noise,
-                label=label,
-                subject_id=f"s{subj:03d}",
-                trial_id=f"t{trial_counter[subj]:04d}",
-            )
-        )
-        trial_counter[subj] += 1
-    return SemiLabeledDataset(samples=samples, num_classes=num_classes)
+        phases[i] = rng.uniform(0.0, 2.0 * np.pi, size=(channels, 1))
+        if noise_sigma > 0:
+            noise[i] = rng.normal(0.0, noise_sigma, size=(channels, length))
+    i = np.arange(num_samples)
+    labels = i % num_classes
+    # Advance the subject every num_classes samples so each subject sees
+    # every class; subject = i % num_subjects would pin one class per
+    # subject whenever num_classes divides num_subjects, degenerating the
+    # leave-subjects-out split. A subject's trials count up across its blocks.
+    block = i // num_classes
+    subjects = [f"s{b % num_subjects:03d}" for b in block.tolist()]
+    trials = [f"t{k:04d}" for k in ((block // num_subjects) * num_classes + labels).tolist()]
+    values = np.sin(2.0 * np.pi * freqs[labels][:, None, None] * t + phases) + noise
+    return SemiLabeledDataset(values, labels, subjects, trials, num_classes)
 
 
 def classify_by_bandpower(dataset: SemiLabeledDataset) -> np.ndarray:
     """Spectral-energy oracle predictions, independent of the learned model."""
-    if not dataset.samples:
+    if not len(dataset):
         raise ContractError("empty dataset")
-    length = dataset.samples[0].values.shape[1]
-    freqs = class_frequencies(dataset.num_classes, length)
-    preds = np.empty(len(dataset.samples), dtype=np.int64)
-    for i, s in enumerate(dataset.samples):
-        spectrum = np.abs(np.fft.rfft(s.values, axis=1))
-        scores = [spectrum[:, f].mean() for f in freqs]
-        preds[i] = int(np.argmax(scores))
-    return preds
+    freqs = class_frequencies(dataset.num_classes, dataset.values.shape[2])
+    spectrum = np.abs(np.fft.rfft(dataset.values, axis=2))
+    return spectrum[:, :, freqs].mean(axis=1).argmax(axis=1)
 
 
 def oracle_accuracy(dataset: SemiLabeledDataset) -> float:
     """Fraction of samples the bandpower oracle labels correctly."""
-    preds = classify_by_bandpower(dataset)
-    truth = np.array([s.label for s in dataset.samples])
-    return float((preds == truth).mean())
+    return float((classify_by_bandpower(dataset) == dataset.labels).mean())

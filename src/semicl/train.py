@@ -31,7 +31,7 @@ import numpy as np
 from . import augment as aug
 from . import losses as L
 from .autodiff import Tape, slice_
-from .data import SemiLabeledDataset, SplitPlan, zscore_by_train
+from .data import UNLABELED, SemiLabeledDataset, SplitPlan, zscore_by_train
 from .errors import ConfigError, ContractError, DegenerateLabelError, DivergenceError
 from .losses import LossWeights
 from .metrics import compute_all
@@ -189,8 +189,8 @@ def _train_step(model: EncoderClassifier, optimizer, lw: LossWeights, cfg: Train
     with Tape() as tape:
         chunks = []
         if use_u:
-            views = [aug.make_views(sample, cfg.augment, aug_rng) for sample in x_u]
-            chunks += [np.stack([v[0] for v in views]), np.stack([v[1] for v in views])]
+            views = aug.make_views(x_u, cfg.augment, aug_rng)
+            chunks += [views[:, 0], views[:, 1]]
         if use_l:
             chunks.append(x_l)
         z = model.encode(np.concatenate(chunks, axis=0))
@@ -239,13 +239,12 @@ def predict(model: EncoderClassifier, values: np.ndarray, batch_size: int = 256)
 def evaluate(model: EncoderClassifier, dataset: SemiLabeledDataset,
              indices) -> dict[str, float]:
     """Six-metric record over the labeled samples among `indices`."""
-    rows = [dataset.samples[i] for i in indices if dataset.samples[i].is_labeled]
-    if not rows:
+    rows = np.asarray(indices, dtype=np.int64)
+    rows = rows[dataset.labels[rows] != UNLABELED]
+    if not rows.size:
         raise ContractError("no labeled samples to evaluate on")
-    values = np.stack([s.values for s in rows])
-    y_true = np.array([s.label for s in rows], dtype=np.int64)
-    scores, y_pred = predict(model, values)
-    return compute_all(y_true, y_pred, scores, dataset.num_classes)
+    scores, y_pred = predict(model, dataset.values[rows])
+    return compute_all(dataset.labels[rows], y_pred, scores, dataset.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +252,12 @@ def evaluate(model: EncoderClassifier, dataset: SemiLabeledDataset,
 # ---------------------------------------------------------------------------
 
 def _train_pools(dataset: SemiLabeledDataset, plan: SplitPlan):
-    train = [dataset.samples[i] for i in plan.train_indices]
-    labeled = [s for s in train if s.is_labeled]
-    unlabeled = [s for s in train if not s.is_labeled]
-    x_l = np.stack([s.values for s in labeled]) if labeled else None
-    y_l = np.array([s.label for s in labeled], dtype=np.int64) if labeled else None
-    x_u = np.stack([s.values for s in unlabeled]) if unlabeled else None
+    train = np.asarray(plan.train_indices, dtype=np.int64)
+    is_labeled = dataset.labels[train] != UNLABELED
+    labeled, unlabeled = train[is_labeled], train[~is_labeled]
+    x_l = dataset.values[labeled] if labeled.size else None
+    y_l = dataset.labels[labeled] if labeled.size else None
+    x_u = dataset.values[unlabeled] if unlabeled.size else None
     return x_u, x_l, y_l
 
 
@@ -326,14 +325,12 @@ def _labeled_pool(x_l: np.ndarray | None, y_l: np.ndarray | None, lw: LossWeight
 
 
 def _transfer_pool(dataset: SemiLabeledDataset, plan: SplitPlan | None,
-                   channels: int) -> np.ndarray | None:
+                   channels: int) -> np.ndarray:
     """Every train-split sample of a pretraining dataset, labels ignored."""
     if plan is None or dataset.channels != channels:
         raise ConfigError(f"transfer pretraining needs a split plan and matching channel "
                           f"counts, got {dataset.channels} vs {channels}")
-    ds = zscore_by_train(dataset, plan)
-    train = [ds.samples[i].values for i in plan.train_indices]
-    return np.stack(train) if train else None
+    return zscore_by_train(dataset, plan).values[list(plan.train_indices)]
 
 
 def fit(model: EncoderClassifier, dataset: SemiLabeledDataset, plan: SplitPlan,

@@ -18,7 +18,7 @@ from semicl import autodiff as ad
 from semicl import losses as L
 from semicl.autodiff import Tensor, grad_check
 from semicl.config import load_config
-from semicl.data import SemiLabeledDataset, SplitParams, TimeSeriesSample, make_split
+from semicl.data import SemiLabeledDataset, SplitParams, make_split
 from semicl.metrics import auprc, auroc_ovr
 from semicl.nn import dense_3x3_weight_count, factored_pair_weight_count
 from semicl.experiments import RunLog, _run_grid
@@ -194,12 +194,12 @@ def test_criterion_3_metric_oracles():
 # ---------------------------------------------------------------------------
 
 def grid_dataset(subjects: int, trials: int) -> SemiLabeledDataset:
-    samples = [
-        TimeSeriesSample(values=np.zeros((1, 4)), label=(s + t) % 2,
-                         subject_id=f"s{s:03d}", trial_id=f"t{t:03d}")
-        for s in range(subjects) for t in range(trials)
-    ]
-    return SemiLabeledDataset(samples=samples, num_classes=2)
+    s, t = np.divmod(np.arange(subjects * trials), trials)
+    return SemiLabeledDataset(
+        values=np.zeros((subjects * trials, 1, 4)), labels=(s + t) % 2,
+        subject_ids=[f"s{k:03d}" for k in s], trial_ids=[f"t{k:03d}" for k in t],
+        num_classes=2,
+    )
 
 
 def test_criterion_4_split_invariants():
@@ -212,16 +212,16 @@ def test_criterion_4_split_invariants():
             if set(plan.train_indices) & set(plan.test_indices):
                 violations += 1
             if pattern == "leave_subjects_out":
-                tr_subj = {ds.samples[i].subject_id for i in plan.train_indices}
-                te_subj = {ds.samples[i].subject_id for i in plan.test_indices}
+                tr_subj = {ds.subject_ids[i] for i in plan.train_indices}
+                te_subj = {ds.subject_ids[i] for i in plan.test_indices}
                 if tr_subj & te_subj:
                     violations += 1
             if pattern == "leave_trials_out":
-                for subj in {s.subject_id for s in ds.samples}:
-                    tr_tr = {ds.samples[i].trial_id for i in plan.train_indices
-                             if ds.samples[i].subject_id == subj}
-                    te_tr = {ds.samples[i].trial_id for i in plan.test_indices
-                             if ds.samples[i].subject_id == subj}
+                for subj in set(ds.subject_ids.tolist()):
+                    tr_tr = {ds.trial_ids[i] for i in plan.train_indices
+                             if ds.subject_ids[i] == subj}
+                    te_tr = {ds.trial_ids[i] for i in plan.test_indices
+                             if ds.subject_ids[i] == subj}
                     if tr_tr & te_tr:
                         violations += 1
 

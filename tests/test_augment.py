@@ -107,3 +107,18 @@ def test_shape_preserved(channels, length, p, seed):
     assert out.shape == x.shape
     out2 = apply(x, AugmentSpec(kind="jitter", jitter_sigma=0.2), stream(seed, "augment"))
     assert out2.shape == x.shape
+
+
+@given(st.lists(st.integers(1, 3), min_size=0, max_size=2), st.integers(1, 3),
+       st.integers(1, 40), st.sampled_from(["temporal_mask", "jitter"]),
+       st.integers(0, 100000))
+@settings(max_examples=40, deadline=None)
+def test_batched_views_equal_per_series_views(batch, channels, length, kind, seed):
+    x = np.random.default_rng(seed).normal(size=(*batch, channels, length))
+    spec = AugmentSpec(kind=kind, mask_prob=0.5, jitter_sigma=0.3)
+    batched_rng, loop_rng = stream(seed, "augment"), stream(seed, "augment")
+    views = make_views(x, spec, batched_rng)
+    assert views.shape == (*batch, 2, channels, length)
+    for idx in np.ndindex(*batch):
+        assert np.array_equal(views[idx], make_views(x[idx], spec, loop_rng))
+    assert str(batched_rng.bit_generator.state) == str(loop_rng.bit_generator.state)

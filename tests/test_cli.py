@@ -149,6 +149,24 @@ def test_eval_rejects_bad_checkpoint_payload(quick_config, tmp_path, capsys, edi
     assert "payload" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda b: b.split(b"\n", 1)[0] + b"\nDATA\n",
+    lambda b: b.replace(b"in_channels=1", b"in_channels=\xff", 1),
+    lambda b: b.replace(b"clf.b 2\n", b"clf.b x\n", 1),
+    lambda b: b.replace(b"clf.b 2\n", b"\n", 1),
+    lambda b: b.replace(b"clf.b 2\n", b"clf.b -2\n", 1),
+], ids=["magic_only", "non_ascii", "bad_shape", "empty_tensor_line", "negative_shape"])
+def test_eval_rejects_bad_checkpoint_header(quick_config, tmp_path, capsys, edit):
+    good = trained_checkpoint(quick_config, tmp_path).read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(edit(good))
+    assert bad.read_bytes() != good
+    code = main(["eval", "--config", str(quick_config), "--out", str(tmp_path / "eval"),
+                 "--seeds", "1", "--model", str(bad)])
+    assert code == 2
+    assert "error[data]: checkpoint" in capsys.readouterr().err
+
+
 def test_eval_rejects_checkpoint_of_another_class_count(quick_config, tmp_path, capsys):
     ckpt = trained_checkpoint(quick_config, tmp_path)
     code = main(["eval", "--config", str(quick_config), "--out", str(tmp_path / "eval"),

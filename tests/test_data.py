@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from semicl.data import (
     UNLABELED,
     SemiLabeledDataset,
     SplitParams,
-    TimeSeriesSample,
     apply_label_ratio,
     hide_train_labels,
     labeled_subset_hash,
@@ -30,15 +31,38 @@ RNG = np.random.default_rng(17)
 
 
 def make_dataset(n=12, channels=2, length=8, num_classes=2, subjects=3):
-    samples = []
-    for i in range(n):
-        samples.append(TimeSeriesSample(
-            values=RNG.normal(size=(channels, length)),
-            label=i % num_classes,
-            subject_id=f"s{i % subjects}",
-            trial_id=f"t{i // subjects}",
-        ))
-    return SemiLabeledDataset(samples=samples, num_classes=num_classes)
+    return SemiLabeledDataset(
+        values=RNG.normal(size=(n, channels, length)),
+        labels=np.arange(n) % num_classes,
+        subject_ids=[f"s{i % subjects}" for i in range(n)],
+        trial_ids=[f"t{i // subjects}" for i in range(n)],
+        num_classes=num_classes,
+    )
+
+
+def edited(ds, values=None, labels=None):
+    """`ds` with entries of its values and labels overwritten, given as {index: value}."""
+    new_values, new_labels = ds.values.copy(), ds.labels.copy()
+    for idx, v in (values or {}).items():
+        new_values[idx] = v
+    for idx, v in (labels or {}).items():
+        new_labels[idx] = v
+    return replace(ds, values=new_values, labels=new_labels)
+
+
+def test_samples_view_is_built_once_over_read_only_columns():
+    ds = make_dataset(n=5)
+    assert ds.samples is ds.samples
+    assert [s.label for s in ds.samples] == ds.labels.tolist()
+    assert np.array_equal(ds.samples[2].values, ds.values[2])
+    assert ds.samples[4].subject_id == "s1" and ds.samples[4].trial_id == "t1"
+    for column in (ds.values, ds.labels, ds.subject_ids, ds.trial_ids):
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+    with pytest.raises(ValueError):
+        ds.samples[0].values[0, 0] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        ds.labels = np.zeros(5, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -46,25 +70,22 @@ def make_dataset(n=12, channels=2, length=8, num_classes=2, subjects=3):
 # ---------------------------------------------------------------------------
 
 def test_write_load_round_trip_bit_exact(tmp_path):
-    ds = make_dataset(n=6)
     # Make values numerically nasty.
-    ds.samples[0].values[0, 0] = 1e-300
-    ds.samples[1].values[0, 0] = -1.2345678901234567e17
-    ds.samples[2].values[0, 0] = np.pi
-    ds.samples[3].label = UNLABELED
+    ds = edited(make_dataset(n=6),
+                values={(0, 0, 0): 1e-300, (1, 0, 0): -1.2345678901234567e17, (2, 0, 0): np.pi},
+                labels={3: UNLABELED})
     write_csv(ds, tmp_path / "data.csv", tmp_path / "manifest.txt")
     loaded = load_csv(tmp_path / "manifest.txt")
     assert len(loaded) == len(ds)
     assert loaded.num_classes == ds.num_classes
-    for a, b in zip(ds.samples, loaded.samples):
-        assert np.array_equal(a.values, b.values)
-        assert a.label == b.label
-        assert a.subject_id == b.subject_id and a.trial_id == b.trial_id
+    assert np.array_equal(ds.values, loaded.values)
+    assert np.array_equal(ds.labels, loaded.labels)
+    assert np.array_equal(ds.subject_ids, loaded.subject_ids)
+    assert np.array_equal(ds.trial_ids, loaded.trial_ids)
 
 
 def test_load_counts_labeled_unlabeled(tmp_path):
-    ds = make_dataset(n=3, channels=1, num_classes=2)
-    ds.samples[0].label, ds.samples[1].label, ds.samples[2].label = 0, UNLABELED, 1
+    ds = edited(make_dataset(n=3, channels=1, num_classes=2), labels={0: 0, 1: UNLABELED, 2: 1})
     write_csv(ds, tmp_path / "data.csv", tmp_path / "manifest.txt")
     loaded = load_csv(tmp_path / "manifest.txt")
     assert loaded.num_labeled == 2 and loaded.num_unlabeled == 1
@@ -75,24 +96,42 @@ def test_manifest_with_multiple_files(tmp_path):
     ds_b = make_dataset(n=3, channels=1)
     write_csv(ds_a, tmp_path / "a.csv")
     write_csv(ds_b, tmp_path / "b.csv")
-    length = ds_a.samples[0].values.shape[1]
+    length = ds_a.values.shape[2]
     (tmp_path / "manifest.txt").write_text(
         f"a.csv,2,1,{length}\nb.csv,2,1,{length}\n"
     )
     loaded = load_csv(tmp_path / "manifest.txt")
     assert len(loaded) == 7
-    for a, b in zip(ds_a.samples + ds_b.samples, loaded.samples):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(np.concatenate([ds_a.values, ds_b.values]), loaded.values)
 
 
 def test_manifest_entries_must_agree(tmp_path):
     ds = make_dataset(n=2, channels=1)
     write_csv(ds, tmp_path / "a.csv")
-    length = ds.samples[0].values.shape[1]
+    length = ds.values.shape[2]
     (tmp_path / "manifest.txt").write_text(
         f"a.csv,2,1,{length}\na.csv,3,1,{length}\n"
     )
     with pytest.raises(SchemaError):
+        load_csv(tmp_path / "manifest.txt")
+
+
+def test_manifest_of_mixed_lengths_rejected(tmp_path):
+    write_csv(make_dataset(n=2, channels=1, length=16), tmp_path / "a.csv")
+    write_csv(make_dataset(n=2, channels=1, length=32), tmp_path / "b.csv")
+    (tmp_path / "manifest.txt").write_text("a.csv,2,1,16\nb.csv,2,1,32\n")
+    with pytest.raises(SchemaError, match="length"):
+        load_csv(tmp_path / "manifest.txt")
+
+
+@pytest.mark.parametrize("channels", [0, -1])
+def test_manifest_without_channels_rejected(tmp_path, channels):
+    (tmp_path / "data.csv").write_text(
+        "sample_id,subject_id,trial_id,label,channel,v0,v1\n"
+        "n0,s0,t0,0,0,1.0,2.0\n"
+    )
+    (tmp_path / "manifest.txt").write_text(f"data.csv,2,{channels},2\n")
+    with pytest.raises(SchemaError, match="channels >= 1"):
         load_csv(tmp_path / "manifest.txt")
 
 
@@ -126,6 +165,18 @@ def test_malformed_row_names_line_number(tmp_path):
         load_csv(tmp_path / "manifest.txt")
 
 
+@pytest.mark.parametrize("value", ["inf", "1e999", "nan"])
+def test_non_finite_value_names_line_number(tmp_path, value):
+    (tmp_path / "data.csv").write_text(
+        "sample_id,subject_id,trial_id,label,channel,v0,v1\n"
+        "n0,s0,t0,0,0,1.0,2.0\n"
+        f"n1,s0,t1,1,0,1.0,{value}\n"
+    )
+    (tmp_path / "manifest.txt").write_text("data.csv,2,1,2\n")
+    with pytest.raises(ParseError, match=":3: non-finite"):
+        load_csv(tmp_path / "manifest.txt")
+
+
 def test_missing_channel_rejected(tmp_path):
     (tmp_path / "data.csv").write_text(
         "sample_id,subject_id,trial_id,label,channel,v0,v1\n"
@@ -133,6 +184,17 @@ def test_missing_channel_rejected(tmp_path):
     )
     (tmp_path / "manifest.txt").write_text("data.csv,2,2,2\n")
     with pytest.raises(SchemaError):
+        load_csv(tmp_path / "manifest.txt")
+
+
+def test_samples_missing_channels_beyond_row_capacity_rejected(tmp_path):
+    (tmp_path / "data.csv").write_text(
+        "sample_id,subject_id,trial_id,label,channel,v0,v1\n"
+        "n0,s0,t0,0,0,1.0,2.0\n"
+        "n1,s0,t1,1,0,1.0,2.0\n"
+    )
+    (tmp_path / "manifest.txt").write_text("data.csv,2,2,2\n")
+    with pytest.raises(SchemaError, match="missing channel rows"):
         load_csv(tmp_path / "manifest.txt")
 
 
@@ -147,14 +209,11 @@ def test_ratio_one_keeps_everything():
 
 
 def test_stratified_counts_balanced_two_class():
-    samples = [
-        TimeSeriesSample(values=RNG.normal(size=(1, 4)), label=i % 2,
-                         subject_id="s", trial_id=f"t{i}")
-        for i in range(100)
-    ]
-    ds = SemiLabeledDataset(samples=samples, num_classes=2)
+    ds = SemiLabeledDataset(values=RNG.normal(size=(100, 1, 4)), labels=np.arange(100) % 2,
+                            subject_ids=["s"] * 100, trial_ids=[f"t{i}" for i in range(100)],
+                            num_classes=2)
     out = apply_label_ratio(ds, 0.1, seed=3)
-    labels = [s.label for s in out.samples if s.is_labeled]
+    labels = out.labels[out.labels != UNLABELED].tolist()
     assert len(labels) == 10
     assert labels.count(0) == 5 and labels.count(1) == 5
     assert len(out) == 100  # sample count unchanged
@@ -164,29 +223,22 @@ def test_label_ratio_deterministic():
     ds = make_dataset(n=20)
     a = apply_label_ratio(ds, 0.3, seed=5)
     b = apply_label_ratio(ds, 0.3, seed=5)
-    assert [s.label for s in a.samples] == [s.label for s in b.samples]
+    assert a.labels.tolist() == b.labels.tolist()
     c = apply_label_ratio(ds, 0.3, seed=6)
-    assert [s.label for s in a.samples] != [s.label for s in c.samples]
+    assert a.labels.tolist() != c.labels.tolist()
 
 
 def test_ratio_requires_fully_labeled_input():
-    ds = make_dataset(n=4)
-    ds.samples[0].label = UNLABELED
+    ds = edited(make_dataset(n=4), labels={0: UNLABELED})
     with pytest.raises(ContractError):
         apply_label_ratio(ds, 0.5, seed=0)
 
 
 def test_stratification_error_when_class_starves():
-    samples = [
-        TimeSeriesSample(values=RNG.normal(size=(1, 4)), label=0,
-                         subject_id="s", trial_id=f"t{i}")
-        for i in range(100)
-    ]
-    samples.append(TimeSeriesSample(values=RNG.normal(size=(1, 4)), label=1,
-                                    subject_id="s", trial_id="tx"))
-    samples.append(TimeSeriesSample(values=RNG.normal(size=(1, 4)), label=2,
-                                    subject_id="s", trial_id="ty"))
-    ds = SemiLabeledDataset(samples=samples, num_classes=3)
+    ds = SemiLabeledDataset(values=RNG.normal(size=(102, 1, 4)), labels=[0] * 100 + [1, 2],
+                            subject_ids=["s"] * 102,
+                            trial_ids=[f"t{i}" for i in range(100)] + ["tx", "ty"],
+                            num_classes=3)
     with pytest.raises(StratificationError):
         apply_label_ratio(ds, 0.02, seed=0)
 
@@ -196,8 +248,8 @@ def test_hide_train_labels_leaves_test_untouched():
     plan = make_split(ds, "trial_dependent", SplitParams(test_fraction=0.3), seed=1)
     out = hide_train_labels(ds, plan, 0.5, seed=1)
     for i in plan.test_indices:
-        assert out.samples[i].label == ds.samples[i].label != UNLABELED
-    hidden = [i for i in plan.train_indices if not out.samples[i].is_labeled]
+        assert out.labels[i] == ds.labels[i] != UNLABELED
+    hidden = [i for i in plan.train_indices if out.labels[i] == UNLABELED]
     assert hidden
 
 
@@ -206,14 +258,12 @@ def test_hide_train_labels_leaves_test_untouched():
 # ---------------------------------------------------------------------------
 
 def grid_dataset(subjects: int, trials: int):
-    samples = []
-    for s in range(subjects):
-        for t in range(trials):
-            samples.append(TimeSeriesSample(
-                values=np.zeros((1, 4)), label=(s + t) % 2,
-                subject_id=f"s{s:03d}", trial_id=f"t{t:03d}",
-            ))
-    return SemiLabeledDataset(samples=samples, num_classes=2)
+    s, t = np.divmod(np.arange(subjects * trials), trials)
+    return SemiLabeledDataset(
+        values=np.zeros((subjects * trials, 1, 4)), labels=(s + t) % 2,
+        subject_ids=[f"s{k:03d}" for k in s], trial_ids=[f"t{k:03d}" for k in t],
+        num_classes=2,
+    )
 
 
 def test_leave_trials_out_worked_counts():
@@ -222,11 +272,11 @@ def test_leave_trials_out_worked_counts():
     assert len(plan.train_indices) == 1152
     assert len(plan.test_indices) == 128
     # Per subject, trial id sets must be disjoint between train and test.
-    for subj in {s.subject_id for s in ds.samples}:
-        train_trials = {ds.samples[i].trial_id for i in plan.train_indices
-                        if ds.samples[i].subject_id == subj}
-        test_trials = {ds.samples[i].trial_id for i in plan.test_indices
-                       if ds.samples[i].subject_id == subj}
+    for subj in set(ds.subject_ids.tolist()):
+        train_trials = {ds.trial_ids[i] for i in plan.train_indices
+                        if ds.subject_ids[i] == subj}
+        test_trials = {ds.trial_ids[i] for i in plan.test_indices
+                       if ds.subject_ids[i] == subj}
         assert not (train_trials & test_trials)
         assert len(test_trials) == 4
 
@@ -236,8 +286,8 @@ def test_leave_subjects_out_worked_counts():
     plan = make_split(ds, "leave_subjects_out", SplitParams(holdout_subjects=2), seed=0)
     assert len(plan.train_indices) == 1200
     assert len(plan.test_indices) == 80
-    train_subjects = {ds.samples[i].subject_id for i in plan.train_indices}
-    test_subjects = {ds.samples[i].subject_id for i in plan.test_indices}
+    train_subjects = {ds.subject_ids[i] for i in plan.train_indices}
+    test_subjects = {ds.subject_ids[i] for i in plan.test_indices}
     assert not (train_subjects & test_subjects)
     assert len(test_subjects) == 2
 
@@ -270,9 +320,8 @@ def test_insufficient_holdout_rejected():
 
 
 def test_missing_group_ids_rejected():
-    samples = [TimeSeriesSample(values=np.zeros((1, 4)), label=0, subject_id="",
-                                trial_id="") for _ in range(4)]
-    ds = SemiLabeledDataset(samples=samples, num_classes=2)
+    ds = SemiLabeledDataset(values=np.zeros((4, 1, 4)), labels=[0] * 4, subject_ids=[""] * 4,
+                            trial_ids=[""] * 4, num_classes=2)
     with pytest.raises(SplitError):
         make_split(ds, "leave_subjects_out", SplitParams(), seed=0)
 
@@ -293,14 +342,13 @@ def test_split_hashes_are_stable():
 
 def test_zscore_uses_train_statistics_only():
     ds = make_dataset(n=16, channels=2, length=32)
-    for s in ds.samples:
-        s.values = s.values * 3.0 + 7.0
+    ds = replace(ds, values=ds.values * 3.0 + 7.0)
     plan = make_split(ds, "trial_dependent", SplitParams(test_fraction=0.25), seed=0)
     out = zscore_by_train(ds, plan)
-    train_vals = np.concatenate([out.samples[i].values for i in plan.train_indices], axis=1)
+    train_vals = np.concatenate(out.values[list(plan.train_indices)], axis=1)
     assert np.allclose(train_vals.mean(axis=1), 0.0, atol=1e-12)
     assert np.allclose(train_vals.std(axis=1), 1.0, atol=1e-12)
-    all_vals = np.concatenate([s.values for s in out.samples], axis=1)
+    all_vals = np.concatenate(out.values, axis=1)
     assert not np.allclose(all_vals.mean(axis=1), 0.0, atol=1e-14)
 
 
@@ -310,16 +358,16 @@ def test_zscore_uses_train_statistics_only():
 
 def test_synth_balanced_labels():
     ds = synth_generate(601, 3, 1, 64, 0.1, seed=0)
-    counts = np.bincount([s.label for s in ds.samples])
+    counts = np.bincount(ds.labels)
     assert counts.max() - counts.min() <= 1
 
 
 def test_synth_noise_free_class_spectra_identical():
     ds = synth_generate(40, 2, 1, 64, 0.0, seed=2)
     by_class = {}
-    for s in ds.samples:
-        mag = np.abs(np.fft.rfft(s.values[0]))
-        by_class.setdefault(s.label, []).append(mag)
+    for values, label in zip(ds.values, ds.labels.tolist()):
+        mag = np.abs(np.fft.rfft(values[0]))
+        by_class.setdefault(label, []).append(mag)
     for mags in by_class.values():
         base = mags[0]
         for m in mags[1:]:
@@ -328,9 +376,9 @@ def test_synth_noise_free_class_spectra_identical():
 
 def test_synth_subject_trial_grid():
     ds = synth_generate(1280, 2, 1, 32, 0.1, seed=1, num_subjects=32)
-    subjects = {s.subject_id for s in ds.samples}
+    subjects = set(ds.subject_ids.tolist())
     assert len(subjects) == 32
-    pairs = {(s.subject_id, s.trial_id) for s in ds.samples}
+    pairs = set(zip(ds.subject_ids.tolist(), ds.trial_ids.tolist()))
     assert len(pairs) == 1280  # every sample its own trial
 
 
@@ -339,8 +387,8 @@ def test_synth_every_subject_sees_every_class():
     for num_subjects in (2, 4, 8):
         ds = synth_generate(96, 2, 1, 16, 0.1, seed=0, num_subjects=num_subjects)
         by_subject = {}
-        for s in ds.samples:
-            by_subject.setdefault(s.subject_id, set()).add(s.label)
+        for subject, label in zip(ds.subject_ids.tolist(), ds.labels.tolist()):
+            by_subject.setdefault(subject, set()).add(label)
         assert all(labels == {0, 1} for labels in by_subject.values())
 
 

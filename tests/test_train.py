@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -260,8 +262,9 @@ def test_fit_divergence_carries_epoch_context():
 
 def test_evaluate_requires_labeled_samples():
     ds, plan = tiny_data()
-    for i in plan.test_indices:
-        ds.samples[i].label = -1
+    labels = ds.labels.copy()
+    labels[list(plan.test_indices)] = -1
+    ds = replace(ds, labels=labels)
     with pytest.raises(ContractError):
         evaluate(tiny_model(), ds, plan.test_indices)
 
