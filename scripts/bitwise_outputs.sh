@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # Run the deterministic command set on small configs and print the sha256 of
-# every output file except the timestamped run.log sidecar.
+# every output file except the timestamped run.log sidecar. Then print the
+# sha256 of both convolutions' outputs and input, kernel and bias gradients on
+# seeded inputs over a small grid with strides, dilations and no-bias cases,
+# paths the commands never take.
 #
 #     scripts/bitwise_outputs.sh OUT > digests.txt
 #
@@ -87,3 +90,30 @@ EOF
 
 cd "$OUT"
 find . -type f ! -name run.log | LC_ALL=C sort | xargs sha256sum
+python3 - <<'EOF'
+import hashlib
+import itertools
+
+import numpy as np
+
+from semicl import autodiff as ad
+
+# (dilation, stride, padding): the encoder's geometries, then strided and dilated ones.
+GEOMETRIES = [(1, 1, 0), (1, 1, 1), (2, 1, 2), (1, 2, 1), (2, 2, 2), (4, 1, 0)]
+OPS = {"conv1d": (ad.conv1d, (4, 3, 3), 4),
+       "depthwise_conv1d": (ad.depthwise_conv1d, (3, 2, 3), 6)}
+for (name, (op, w_shape, c_out)), (dil, stride, pad), biased in itertools.product(
+        OPS.items(), GEOMETRIES, (True, False)):
+    rng = np.random.default_rng([dil, stride, pad, biased])
+    x = ad.Tensor(rng.normal(size=(2, 3, 3, 17)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=w_shape), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=c_out), requires_grad=True) if biased else None
+    with ad.Tape() as tape:
+        out = op(x, w, b, dilation=dil, stride=stride, padding=pad)
+        loss = ad.sum(ad.mul(out, ad.Tensor(rng.normal(size=out.shape))))
+    tape.backward(loss)
+    arrays = {"out": out.data, "dx": x.grad, "dw": w.grad} | ({"db": b.grad} if biased else {})
+    for key, a in arrays.items():
+        digest = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        print(f"{digest}  {name}/d{dil}s{stride}p{pad}{'' if biased else '-nobias'}/{key}")
+EOF

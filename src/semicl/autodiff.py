@@ -14,8 +14,11 @@ Numerical conventions (documented here because tests pin them):
   * `relu` uses subgradient 0 at the origin;
   * softmax is computed with max-subtraction.
 
-Convolutions are direct (non-FFT) correlations: a short loop over kernel
-taps, each tap one contiguous batched matrix product.
+Convolutions are direct (non-FFT) correlations. `conv1d` and
+`depthwise_conv1d` run on one routine, `_correlate`, which checks shapes,
+pads, slices the input at each kernel tap and runs the forward and backward
+loops over the taps. Each op supplies only its three per-tap products: the
+output, the input gradient and the kernel gradient.
 """
 
 from __future__ import annotations
@@ -428,9 +431,70 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor) -> Tensor:
 # convolution and pooling
 # ---------------------------------------------------------------------------
 
-def _conv_out_len(length: int, k: int, dilation: int, stride: int, padding: int) -> int:
-    span = (k - 1) * dilation + 1
-    return (length + 2 * padding - span) // stride + 1
+def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int,
+               depthwise: bool, fwd_tap, dx_tap, dw_tap) -> Tensor:
+    """Direct 1-D correlation over the last axis, shared by both convolutions.
+
+    Owns the checks, the padding, the tap slices, both tap loops and the bias
+    gradient. The caller supplies the three per-tap products: `fwd_tap(wk, xt)`
+    is the output of kernel tap `wk` on input slice `xt`, `dx_tap(wk, g)` its
+    input gradient and `dw_tap(g, xt)` its kernel gradient. The input reaches
+    them as (n, C_in, L) with n the product of the leading axes; the output
+    and its gradient as (n, C, M, L_out) for a depthwise kernel (C, M, K) and
+    as (n, C_out, L_out) otherwise.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if dilation < 1 or stride < 1 or padding < 0:
+        raise ContractError(
+            f"{op}: dilation/stride must be >= 1 and padding >= 0, "
+            f"got dilation={dilation} stride={stride} padding={padding}"
+        )
+    layout = "(C, M, K)" if depthwise else "(O, I, K)"
+    if x.ndim < 2 or w.ndim != 3:
+        raise DimensionError(f"{op}: need input (..., C, L) and kernel {layout}, got {x.shape} and {w.shape}")
+    k = w.shape[2]
+    c_in, c_out = (w.shape[0], w.shape[0] * w.shape[1]) if depthwise else (w.shape[1], w.shape[0])
+    if x.shape[-2] != c_in:
+        raise DimensionError(
+            f"{op}: input has {x.shape[-2]} channels but kernel expects {c_in} (input {x.shape}, kernel {w.shape})"
+        )
+    length = x.shape[-1]
+    out_len = (length + 2 * padding - (k - 1) * dilation - 1) // stride + 1
+    if out_len < 1:
+        raise DimensionError(
+            f"{op}: input length {length} too short for kernel {k} with dilation {dilation}, "
+            f"stride {stride}, padding {padding}"
+        )
+    if bias is not None and bias.shape != (c_out,):
+        raise DimensionError(f"{op}: bias shape {bias.shape} does not match {c_out} output channels")
+
+    xp = np.pad(x.data, [(0, 0)] * (x.ndim - 1) + [(padding, padding)]) if padding else x.data
+    x3 = xp.reshape(-1, c_in, xp.shape[-1])
+    taps = [np.s_[:, :, s: s + stride * (out_len - 1) + 1: stride]
+            for s in range(0, k * dilation, dilation)]
+    out_channels = w.shape[:2] if depthwise else (c_out,)
+    acc = np.zeros((x3.shape[0],) + out_channels + (out_len,))
+    for kk, tap in enumerate(taps):
+        acc += fwd_tap(w.data[:, :, kk], x3[tap])
+    out = acc.reshape(x3.shape[0], c_out, out_len)
+    if bias is not None:
+        out += bias.data[:, None]
+
+    def bwd(g):
+        gs = g.reshape(acc.shape)
+        dxp = np.zeros_like(x3)
+        dw = np.zeros_like(w.data)
+        for kk, tap in enumerate(taps):
+            dxp[tap] += dx_tap(w.data[:, :, kk], gs)
+            dw[:, :, kk] = dw_tap(gs, x3[tap])
+        dx = dxp.reshape(xp.shape)[..., padding: padding + length]
+        grads = [dx.reshape(x.shape), dw]
+        if bias is not None:
+            grads.append(gs.sum(axis=(0, -1)).reshape(c_out))
+        return tuple(grads)
+
+    inputs = (x, w) if bias is None else (x, w, bias)
+    return _apply(out.reshape(x.shape[:-2] + (c_out, out_len)), inputs, bwd)
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1,
@@ -441,68 +505,12 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1,
     shape (C_out, C_in, K). Output is (..., C_out, L_out) with
     L_out = (L + 2*padding - (K-1)*dilation - 1) // stride + 1.
     """
-    x, w = as_tensor(x), as_tensor(w)
-    if dilation < 1 or stride < 1 or padding < 0:
-        raise ContractError(
-            f"conv1d: dilation/stride must be >= 1 and padding >= 0, "
-            f"got dilation={dilation} stride={stride} padding={padding}"
-        )
-    if x.ndim < 2 or w.ndim != 3:
-        raise DimensionError(f"conv1d: need input (..., C, L) and kernel (O, I, K), got {x.shape} and {w.shape}")
-    c_out, c_in, k = w.shape
-    if x.shape[-2] != c_in:
-        raise DimensionError(
-            f"conv1d: input has {x.shape[-2]} channels but kernel expects {c_in} (input {x.shape}, kernel {w.shape})"
-        )
-    length = x.shape[-1]
-    out_len = _conv_out_len(length, k, dilation, stride, padding)
-    if out_len < 1:
-        raise DimensionError(
-            f"conv1d: input length {length} too short for kernel {k} with dilation {dilation}, "
-            f"stride {stride}, padding {padding}"
-        )
-    if bias is not None and bias.shape != (c_out,):
-        raise DimensionError(f"conv1d: bias shape {bias.shape} does not match {c_out} output channels")
-
-    lead = x.shape[:-2]
-    if padding:
-        pad_spec = [(0, 0)] * (x.ndim - 1) + [(padding, padding)]
-        xp = np.pad(x.data, pad_spec)
-    else:
-        xp = x.data
-    x3 = xp.reshape(-1, c_in, xp.shape[-1])
-    n_lead = x3.shape[0]
-
-    def tap_slice(kk):
-        start = kk * dilation
-        return x3[:, :, start: start + stride * (out_len - 1) + 1: stride]
-
-    out = np.zeros((n_lead, c_out, out_len))
-    for kk in range(k):
-        out += np.matmul(w.data[:, :, kk], tap_slice(kk))
-    if bias is not None:
-        out += bias.data[:, None]
-    out = out.reshape(lead + (c_out, out_len))
-
-    def bwd(g):
-        g3 = g.reshape(n_lead, c_out, out_len)
-        dxp = np.zeros_like(x3)
-        dw = np.zeros_like(w.data)
-        for kk in range(k):
-            start = kk * dilation
-            sl = np.s_[:, :, start: start + stride * (out_len - 1) + 1: stride]
-            dxp[sl] += np.matmul(w.data[:, :, kk].T, g3)
-            dw[:, :, kk] = np.matmul(g3, tap_slice(kk).transpose(0, 2, 1)).sum(axis=0)
-        dx = dxp.reshape(xp.shape)
-        if padding:
-            dx = dx[..., padding: padding + length]
-        grads = [dx.reshape(x.shape), dw]
-        if bias is not None:
-            grads.append(g3.sum(axis=(0, 2)))
-        return tuple(grads)
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _apply(out, inputs, bwd)
+    return _correlate(
+        "conv1d", x, w, bias, dilation, stride, padding, depthwise=False,
+        fwd_tap=np.matmul,
+        dx_tap=lambda wk, g: np.matmul(wk.T, g),
+        dw_tap=lambda g, xt: np.matmul(g, xt.transpose(0, 2, 1)).sum(axis=0),
+    )
 
 
 def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1,
@@ -512,70 +520,12 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation:
     `w` has shape (C, M, K); each input channel c produces M output channels,
     laid out c-major: output channel index = c * M + m.
     """
-    x, w = as_tensor(x), as_tensor(w)
-    if dilation < 1 or stride < 1 or padding < 0:
-        raise ContractError("depthwise_conv1d: dilation/stride must be >= 1 and padding >= 0")
-    if x.ndim < 2 or w.ndim != 3:
-        raise DimensionError(
-            f"depthwise_conv1d: need input (..., C, L) and kernel (C, M, K), got {x.shape} and {w.shape}"
-        )
-    c, m, k = w.shape
-    if x.shape[-2] != c:
-        raise DimensionError(
-            f"depthwise_conv1d: input has {x.shape[-2]} channels but kernel expects {c}"
-        )
-    length = x.shape[-1]
-    out_len = _conv_out_len(length, k, dilation, stride, padding)
-    if out_len < 1:
-        raise DimensionError(
-            f"depthwise_conv1d: input length {length} too short for kernel {k} "
-            f"(dilation {dilation}, stride {stride}, padding {padding})"
-        )
-    if bias is not None and bias.shape != (c * m,):
-        raise DimensionError(
-            f"depthwise_conv1d: bias shape {bias.shape} does not match {c * m} output channels"
-        )
-
-    lead = x.shape[:-2]
-    if padding:
-        pad_spec = [(0, 0)] * (x.ndim - 1) + [(padding, padding)]
-        xp = np.pad(x.data, pad_spec)
-    else:
-        xp = x.data
-    x3 = xp.reshape(-1, c, xp.shape[-1])
-    n_lead = x3.shape[0]
-
-    def tap_slice(kk):
-        start = kk * dilation
-        return x3[:, :, start: start + stride * (out_len - 1) + 1: stride]
-
-    acc = np.zeros((n_lead, c, m, out_len))
-    for kk in range(k):
-        acc += tap_slice(kk)[:, :, None, :] * w.data[None, :, :, kk, None]
-    out = acc.reshape(n_lead, c * m, out_len)
-    if bias is not None:
-        out = out + bias.data[:, None]
-    out = out.reshape(lead + (c * m, out_len))
-
-    def bwd(g):
-        g4 = g.reshape(n_lead, c, m, out_len)
-        dxp = np.zeros_like(x3)
-        dw = np.zeros_like(w.data)
-        for kk in range(k):
-            start = kk * dilation
-            sl = np.s_[:, :, start: start + stride * (out_len - 1) + 1: stride]
-            dxp[sl] += (g4 * w.data[None, :, :, kk, None]).sum(axis=2)
-            dw[:, :, kk] = np.einsum("bcml,bcl->cm", g4, tap_slice(kk), optimize=True)
-        dx = dxp.reshape(xp.shape)
-        if padding:
-            dx = dx[..., padding: padding + length]
-        grads = [dx.reshape(x.shape), dw]
-        if bias is not None:
-            grads.append(g4.sum(axis=(0, 3)).reshape(c * m))
-        return tuple(grads)
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _apply(out, inputs, bwd)
+    return _correlate(
+        "depthwise_conv1d", x, w, bias, dilation, stride, padding, depthwise=True,
+        fwd_tap=lambda wk, xt: xt[:, :, None, :] * wk[None, :, :, None],
+        dx_tap=lambda wk, g: (g * wk[None, :, :, None]).sum(axis=2),
+        dw_tap=lambda g, xt: np.einsum("bcml,bcl->cm", g, xt, optimize=True),
+    )
 
 
 def avg_pool(x: Tensor, window: int) -> Tensor:

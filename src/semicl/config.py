@@ -112,7 +112,10 @@ def load_config(path, overrides: list[str] | None = None) -> "ExperimentConfig":
     """Read a config file, apply overrides, and return the resolved config."""
     values = {k: default for k, (_, default) in SCHEMA.items()}
     seen: set[str] = set()
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e})") from e
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -150,8 +150,12 @@ def load_csv(manifest_path) -> SemiLabeledDataset:
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
+    try:
+        lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{manifest_path}: not UTF-8 text ({e})") from e
     entries = []
-    for ln, raw in enumerate(manifest_path.read_text().splitlines(), start=1):
+    for ln, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -222,19 +226,19 @@ def _count_newlines(path: Path) -> int:
 
 def _data_rows(path: Path, length: int):
     """(line number, fields) of each non-empty row after a header checked against `length`."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if header != _expected_header(length):
-            raise SchemaError(
-                f"{path}: header does not match the sample schema for length {length}"
-            )
-        for ln, row in enumerate(reader, start=2):
-            if row:
-                yield ln, row
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if header != _expected_header(length):
+                raise SchemaError(f"{path}: header does not match the sample schema for length {length}")
+            for ln, row in enumerate(reader, start=2):
+                if row:
+                    yield ln, row
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e})") from e
 
 
 def write_csv(dataset: SemiLabeledDataset, csv_path, manifest_path=None) -> None:

@@ -21,7 +21,7 @@ from .data import (hide_train_labels, labeled_subset_hash, make_split, split_pla
                    write_csv, zscore_by_train)
 from .errors import ConfigError
 from .metrics import METRIC_NAMES, EvalReport
-from .nn import EncoderClassifier, load_checkpoint, save_checkpoint
+from .nn import EncoderClassifier, EncoderConfig, load_checkpoint, save_checkpoint
 from .train import REGIMES, TrainTrace, evaluate, fit
 
 logger = logging.getLogger(__name__)
@@ -57,12 +57,22 @@ def prepare_data(exp: ExperimentConfig, seed: int, label_ratio: float | None = N
     return masked, plan
 
 
+def _check_length(encoder: EncoderConfig, dataset, source: str) -> None:
+    """ConfigError unless the dataset's series survive every pooling stage of `encoder`."""
+    length = dataset.values.shape[2]
+    if length < encoder.min_length:
+        raise ConfigError(f"{source}: {encoder.num_blocks} encoder blocks need series of length "
+                          f">= {encoder.min_length}, the dataset's have length {length}")
+
+
 def run_single(exp: ExperimentConfig, seed: int, regime: str, ablation: str,
                data) -> RunResult:
     """Train and evaluate one cell on `data`, a `prepare_data` result it leaves unchanged."""
     dataset, plan = data
     cfg = exp.train_config(seed, regime=regime, ablation=ablation)
-    model = EncoderClassifier(exp.encoder_config(dataset.channels), dataset.num_classes, seed=seed)
+    encoder = exp.encoder_config(dataset.channels)
+    _check_length(encoder, dataset, f"config {exp.source_path}")
+    model = EncoderClassifier(encoder, dataset.num_classes, seed=seed)
     model, trace = fit(model, dataset, plan, cfg)
     return RunResult(
         seed=seed,
@@ -179,6 +189,7 @@ def cmd_eval(exp: ExperimentConfig, out_dir, seed: int, model_path) -> None:
     if got != (dataset.channels, dataset.num_classes):
         raise ConfigError(f"checkpoint {model_path} has (in_channels, num_classes) {got}, "
                           f"the dataset has {(dataset.channels, dataset.num_classes)}")
+    _check_length(model.config, dataset, f"checkpoint {model_path}")
     metrics = evaluate(model, zscore_by_train(dataset, plan), plan.test_indices)
     write_report_csv(out_dir / "report.csv", [(str(seed), metrics)])
 

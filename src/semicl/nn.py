@@ -23,6 +23,7 @@ projection head sits between the encoder output and the losses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +91,24 @@ def dense_3x3_weight_count(c_in: int, c_out: int) -> int:
     return 9 * c_in * c_out
 
 
+def _param_specs(cfg: EncoderConfig, num_classes: int) -> list[tuple[str, tuple[int, ...], int | None]]:
+    """(name, shape, fan_in) of every parameter in creation order; fan_in None is a zero bias."""
+    f, ks = cfg.feature_channels, cfg.cross_kernel
+    specs, f_in = [], 1
+    for i in range(cfg.num_blocks):
+        pre = f"enc.b{i}"
+        specs += [(f"{pre}.pw.w", (f, f_in, 1), f_in), (f"{pre}.pw.b", (f,), None),
+                  (f"{pre}.temporal.w", (f, f, 3), 3 * f), (f"{pre}.temporal.b", (f,), None),
+                  (f"{pre}.cross.w", (f, f, ks), ks * f), (f"{pre}.cross.b", (f,), None),
+                  (f"{pre}.depthwise.w", (f, 2, 3), 3), (f"{pre}.depthwise.b", (2 * f,), None)]
+        f_in = 2 * f
+    head_in = cfg.in_channels * cfg.block_out_channels
+    return specs + [("enc.head.w", (head_in, cfg.embed_dim), head_in),
+                    ("enc.head.b", (cfg.embed_dim,), None),
+                    ("clf.w", (cfg.embed_dim, num_classes), cfg.embed_dim),
+                    ("clf.b", (num_classes,), None)]
+
+
 class EncoderClassifier:
     """Encoder f plus linear classifier g with a flat parameter registry."""
 
@@ -102,32 +121,10 @@ class EncoderClassifier:
         self._params: dict[str, Tensor] = {}
         self._init_params(stream(self.seed, "init"))
 
-    def _add(self, name: str, data: np.ndarray) -> Tensor:
-        t = Tensor(data, requires_grad=True)
-        self._params[name] = t
-        return t
-
     def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        f = cfg.feature_channels
-        f_in = 1
-        for i in range(cfg.num_blocks):
-            pre = f"enc.b{i}"
-            self._add(f"{pre}.pw.w", kaiming_uniform(rng, (f, f_in, 1), fan_in=f_in))
-            self._add(f"{pre}.pw.b", np.zeros(f))
-            self._add(f"{pre}.temporal.w", kaiming_uniform(rng, (f, f, 3), fan_in=3 * f))
-            self._add(f"{pre}.temporal.b", np.zeros(f))
-            ks = cfg.cross_kernel
-            self._add(f"{pre}.cross.w", kaiming_uniform(rng, (f, f, ks), fan_in=ks * f))
-            self._add(f"{pre}.cross.b", np.zeros(f))
-            self._add(f"{pre}.depthwise.w", kaiming_uniform(rng, (f, 2, 3), fan_in=3))
-            self._add(f"{pre}.depthwise.b", np.zeros(2 * f))
-            f_in = 2 * f
-        head_in = cfg.in_channels * cfg.block_out_channels
-        self._add("enc.head.w", kaiming_uniform(rng, (head_in, cfg.embed_dim), fan_in=head_in))
-        self._add("enc.head.b", np.zeros(cfg.embed_dim))
-        self._add("clf.w", kaiming_uniform(rng, (cfg.embed_dim, self.num_classes), fan_in=cfg.embed_dim))
-        self._add("clf.b", np.zeros(self.num_classes))
+        for name, shape, fan_in in _param_specs(self.config, self.num_classes):
+            data = np.zeros(shape) if fan_in is None else kaiming_uniform(rng, shape, fan_in)
+            self._params[name] = Tensor(data, requires_grad=True)
 
     def parameters(self) -> dict[str, Tensor]:
         """Every trainable tensor, each exactly once, in creation order."""
@@ -259,12 +256,14 @@ def load_checkpoint(path) -> EncoderClassifier:
     if len(specs) != count:
         raise SchemaError(f"checkpoint {path}: expected {count} tensors, header lists {len(specs)}")
 
-    model = EncoderClassifier(cfg, num_classes)
-    if specs != [(name, t.shape) for name, t in model._params.items()]:
+    # Validate against the architecture's shapes before allocating any parameter.
+    shapes = [(name, shape) for name, shape, _ in _param_specs(cfg, num_classes)]
+    if specs != shapes:
         raise SchemaError(f"checkpoint {path}: tensor names or shapes do not match this architecture")
-    expected = 8 * sum(t.size for t in model._params.values())
+    expected = 8 * sum(math.prod(shape) for _, shape in shapes)
     if len(payload) != expected:
         raise SchemaError(f"checkpoint {path}: payload has {len(payload)} bytes, expected {expected}")
+    model = EncoderClassifier(cfg, num_classes)
     offset = 0
     for t in model._params.values():
         t.data = np.frombuffer(payload, dtype="<f8", count=t.size,

@@ -68,6 +68,20 @@ def test_depthwise_conv1d_matches_loop_oracle():
     expected = oracles.depthwise_conv1d_direct(x, w, b, padding=1)
     assert out.shape == (2, 6, 9)
     assert np.allclose(out.data, expected, atol=1e-12)
+    # The conv1d oracle grid, with and without bias.
+    x = RNG.normal(size=(2, 3, 17))
+    for dilation, stride, padding in [(1, 1, 0), (2, 1, 2), (3, 2, 1), (1, 3, 0)]:
+        for bias in (b, None):
+            out = ad.depthwise_conv1d(Tensor(x), Tensor(w), None if bias is None else Tensor(bias),
+                                      dilation=dilation, stride=stride, padding=padding)
+            expected = oracles.depthwise_conv1d_direct(x, w, bias, dilation=dilation,
+                                                       stride=stride, padding=padding)
+            assert np.allclose(out.data, expected, atol=1e-12), (dilation, stride, padding, bias)
+    # Leading batch axes.
+    x = RNG.normal(size=(2, 5, 3, 10))
+    out = ad.depthwise_conv1d(Tensor(x), Tensor(w), Tensor(b), dilation=2, padding=2)
+    flat = oracles.depthwise_conv1d_direct(x.reshape(10, 3, 10), w, b, dilation=2, padding=2)
+    assert np.allclose(out.data, flat.reshape(2, 5, 6, 10), atol=1e-12)
 
 
 def test_avg_pool_halves_length():
@@ -111,6 +125,19 @@ def test_conv1d_channel_mismatch_names_extents():
 def test_conv1d_rejects_bad_dilation():
     with pytest.raises(ContractError):
         ad.conv1d(Tensor(np.zeros((1, 1, 8))), Tensor(np.zeros((1, 1, 3))), dilation=0)
+
+
+@pytest.mark.parametrize("x_shape,w_shape,b_shape,kwargs,error,match", [
+    ((1, 3, 8), (3, 2, 3), None, {"dilation": 0}, ContractError, "dilation"),
+    ((1, 2, 8), (3, 2, 3), None, {}, DimensionError, "channels"),
+    ((1, 3, 8), (3, 2, 3), (3,), {}, DimensionError, "bias shape"),
+    ((1, 3, 4), (3, 2, 3), None, {"dilation": 2}, DimensionError, "too short"),
+], ids=["bad_dilation", "channel_mismatch", "bias_shape", "too_short"])
+def test_depthwise_conv1d_errors_name_op(x_shape, w_shape, b_shape, kwargs, error, match):
+    bias = None if b_shape is None else Tensor(np.zeros(b_shape))
+    with pytest.raises(error, match=match) as info:
+        ad.depthwise_conv1d(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)), bias, **kwargs)
+    assert str(info.value).startswith("depthwise_conv1d:")
 
 
 def test_log_negative_is_domain_error():
@@ -242,6 +269,8 @@ OP_CASES = {
                lambda x, w, b: ad.conv1d(x, w, b, dilation=2, padding=2), {}),
     "depthwise": (lambda: [t((2, 3, 8)), t((3, 2, 3)), t((6,))],
                   lambda x, w, b: ad.depthwise_conv1d(x, w, b, padding=1), {}),
+    "depthwise_strided": (lambda: [t((2, 3, 13)), t((3, 2, 3))],
+                          lambda x, w: ad.depthwise_conv1d(x, w, dilation=2, stride=2), {}),
     "avg_pool": (lambda: [t((2, 3, 9))], lambda x: ad.avg_pool(x, 2), {}),
     "relu": (lambda: [Tensor(RNG.normal(size=(4, 5)) + np.sign(RNG.normal(size=(4, 5))) * 0.3,
                              requires_grad=True)], ad.relu, {}),

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from semicl.cli import main
 from semicl.config import load_config
 from semicl.data import load_csv
-from semicl.errors import ConfigError
+from semicl.errors import ConfigError, ParseError, SchemaError
 from semicl.experiments import prepare_data, run_single
 from semicl.metrics import METRIC_NAMES
 
@@ -277,3 +279,46 @@ def test_config_closed_schema():
 def test_config_rejects_non_finite_floats(quick_config, key, value):
     with pytest.raises(ConfigError, match="finite"):
         load_config(quick_config, overrides=[f"{key}={value}"])
+
+
+@pytest.mark.parametrize("name,error", [("csv.cfg", ConfigError), ("gen/manifest.txt", SchemaError),
+                                        ("gen/data.csv", ParseError)],
+                         ids=["config", "manifest", "sample_csv"])
+def test_non_utf8_input_exits_2(quick_config, tmp_path, capsys, name, error):
+    assert main(["synth-gen", "--config", str(quick_config), "--out", str(tmp_path / "gen"),
+                 "--seeds", "1"]) == 0
+    config = tmp_path / "csv.cfg"
+    config.write_text(QUICK_CFG.replace("data.source = synth",
+                                        "data.source = csv\ndata.manifest = gen/manifest.txt"))
+    bad = tmp_path / name
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    with pytest.raises(error, match=re.escape(str(bad))):
+        load_config(config).build_dataset(1)
+    code = main(["train", "--config", str(config), "--out", str(tmp_path / "run"), "--seeds", "1"])
+    assert code == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+FIVE_BLOCKS = ["--override", "model.num_blocks=5", "--override", "model.dilations=1,1,1,1,1"]
+
+
+def test_train_on_series_shorter_than_encoder_exits_2(quick_config, tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["train", "--config", str(quick_config), "--out", str(out), "--seeds", "1",
+                 *FIVE_BLOCKS])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "length >= 32" in err and "length 16" in err
+    assert not (out / "report.csv").exists()
+
+
+def test_eval_checkpoint_needing_longer_series_exits_2(quick_config, tmp_path, capsys):
+    out = tmp_path / "train"
+    assert main(["train", "--config", str(quick_config), "--out", str(out), "--seeds", "1",
+                 "--override", "data.length=32", *FIVE_BLOCKS]) == 0
+    code = main(["eval", "--config", str(quick_config), "--out", str(tmp_path / "eval"),
+                 "--seeds", "1", "--model", str(out / "model.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error[config]: checkpoint" in err and "length >= 32" in err
+    assert not (tmp_path / "eval" / "report.csv").exists()

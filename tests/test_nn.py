@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from semicl import autodiff as ad
 from semicl.autodiff import Tape, Tensor
-from semicl.errors import ConfigError, ContractError, DimensionError, InputLengthError
+from semicl.errors import ConfigError, ContractError, DimensionError, InputLengthError, SchemaError
 from semicl.nn import (
     EncoderClassifier,
     EncoderConfig,
@@ -219,3 +221,27 @@ def test_checkpoint_save_load_save_identical_bytes(tmp_path):
     save_checkpoint(model, p1)
     save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("tensor_lines", [False, True], ids=["embed_dim", "embed_dim_and_tensor_lines"])
+def test_checkpoint_claiming_huge_sizes_fails_before_allocating(tmp_path, tensor_lines):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(EncoderClassifier(EncoderConfig(), num_classes=2), path)
+    edits = [(b"embed_dim=64\n", b"embed_dim=400000\n")]
+    if tensor_lines:
+        edits += [(b"enc.head.w 16 64\n", b"enc.head.w 16 400000\n"),
+                  (b"enc.head.b 64\n", b"enc.head.b 400000\n"),
+                  (b"clf.w 64 2\n", b"clf.w 400000 2\n")]
+    blob = path.read_bytes()
+    for old, new in edits:
+        assert blob.count(old) == 1
+        blob = blob.replace(old, new)
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"traced peak {peak} bytes"
