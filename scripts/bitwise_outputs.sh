@@ -3,7 +3,8 @@
 # every output file except the timestamped run.log sidecar. Then print the
 # sha256 of both convolutions' outputs and input, kernel and bias gradients on
 # seeded inputs over a small grid with strides, dilations and no-bias cases,
-# paths the commands never take.
+# and of avg_pool's output and input gradient for windows 1-7 with and without
+# a remainder: paths the commands never take.
 #
 #     scripts/bitwise_outputs.sh OUT > digests.txt
 #
@@ -116,4 +117,20 @@ for (name, (op, w_shape, c_out)), (dil, stride, pad), biased in itertools.produc
     for key, a in arrays.items():
         digest = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
         print(f"{digest}  {name}/d{dil}s{stride}p{pad}{'' if biased else '-nobias'}/{key}")
+
+# Up to window 7, numpy's mean sums in the order of avg_pool's strided-slice
+# sum; from 8 it sums pairwise, which the slice sum does not copy.
+# Some inputs are -0.0, whose sign the mean drops.
+for window, lead, rest in itertools.product(range(1, 8), [(), (2, 3)], (0, 1)):
+    rng = np.random.default_rng([window, len(lead), rest])
+    data = rng.normal(size=lead + (3, 4 * window + rest * (window - 1)))
+    data[..., ::7] = -0.0
+    x = ad.Tensor(data, requires_grad=True)
+    with ad.Tape() as tape:
+        out = ad.avg_pool(x, window)
+        loss = ad.sum(ad.mul(out, ad.Tensor(rng.normal(size=out.shape))))
+    tape.backward(loss)
+    for key, a in {"out": out.data, "dx": x.grad}.items():
+        digest = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        print(f"{digest}  avg_pool/w{window}{'-lead' if lead else ''}{'-rest' if rest else ''}/{key}")
 EOF

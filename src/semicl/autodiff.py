@@ -523,7 +523,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation:
     return _correlate(
         "depthwise_conv1d", x, w, bias, dilation, stride, padding, depthwise=True,
         fwd_tap=lambda wk, xt: xt[:, :, None, :] * wk[None, :, :, None],
-        dx_tap=lambda wk, g: (g * wk[None, :, :, None]).sum(axis=2),
+        dx_tap=lambda wk, g: np.einsum("ncml,cm->ncl", g, wk),
         dw_tap=lambda g, xt: np.einsum("bcml,bcl->cm", g, xt, optimize=True),
     )
 
@@ -538,13 +538,15 @@ def avg_pool(x: Tensor, window: int) -> Tensor:
     if out_len < 1:
         raise DimensionError(f"avg_pool: length {length} shorter than window {window}")
     used = out_len * window
-    trimmed = x.data[..., :used]
-    out = trimmed.reshape(x.shape[:-1] + (out_len, window)).mean(axis=-1)
+    # Sum the strided slices left to right from +0.0, as numpy's mean does for
+    # fewer than 8 values (so a window of 2 keeps its bytes, signed zeros too).
+    out = 0.0 + x.data[..., 0:used:window]
+    for j in range(1, window):
+        out += x.data[..., j:used:window]
+    out /= window
 
     def bwd(g):
-        core = np.empty(x.shape[:-1] + (out_len, window))
-        core[...] = (g / window)[..., None]
-        core = core.reshape(x.shape[:-1] + (used,))
+        core = np.repeat(g / window, window, axis=-1)
         if used == length:
             return (core,)
         dx = np.zeros(x.shape)

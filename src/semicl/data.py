@@ -10,7 +10,8 @@ with one row per channel; ``label`` is an integer class id or -1 for
 unlabeled. Values are decimal doubles and round-trip bit-exactly (written with
 ``repr``); a non-finite value is a parse error. Manifest: plain-text lines
 ``path,num_classes,channels,length`` where ``path`` is resolved relative to
-the manifest's directory; all lines agree on the last three fields.
+the manifest's directory; all lines agree on the last three fields, and
+channels and length are at least 1.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ def load_csv(manifest_path) -> SemiLabeledDataset:
     """Load a dataset from a manifest of per-sample CSV files.
 
     Rows are parsed straight into one (N, channels, length) array, allocated
-    up front for as many samples as the files' line count can hold.
+    up front for as many samples as the files' newlines and sizes can hold.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -169,12 +170,18 @@ def load_csv(manifest_path) -> SemiLabeledDataset:
     if not entries:
         raise DataError(f"{manifest_path}: empty manifest")
     _, num_classes, channels, length = entries[0]
-    if channels < 1 or any(e[1:] != (num_classes, channels, length) for e in entries):
-        raise SchemaError(f"{manifest_path}: entries need channels >= 1 and one num_classes/channels/length")
+    if channels < 1 or length < 1 or any(e[1:] != (num_classes, channels, length) for e in entries):
+        raise SchemaError(f"{manifest_path}: entries need channels >= 1, length >= 1 and one "
+                          "num_classes/channels/length")
 
     paths = [base / e[0] for e in entries]
-    # A complete sample takes `channels` rows, so at most this many fit in the files.
-    capacity = sum(_count_newlines(path) for path in paths) // channels
+    # A data row follows a newline and holds `length` values with a comma
+    # before each, so 2 * length bytes; a complete sample takes `channels` rows.
+    rows = sum(min(_count_newlines(path), path.stat().st_size // (2 * length)) for path in paths)
+    capacity = rows // channels
+    if capacity < 1:
+        raise SchemaError(f"{manifest_path}: the files are too short to hold one sample of "
+                          f"{channels} channels x {length} values")
     values = np.empty((capacity, channels, length), dtype=np.float64)
     labels = np.empty(capacity, dtype=np.int64)
     subjects, trials = [""] * capacity, [""] * capacity
@@ -232,7 +239,7 @@ def _data_rows(path: Path, length: int):
             header = next(reader, None)
             if header is None:
                 raise DataError(f"{path}: empty file")
-            if header != _expected_header(length):
+            if len(header) != 5 + length or header != _expected_header(length):
                 raise SchemaError(f"{path}: header does not match the sample schema for length {length}")
             for ln, row in enumerate(reader, start=2):
                 if row:

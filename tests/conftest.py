@@ -1,6 +1,8 @@
 import sys
 from pathlib import Path
 
+import semicl  # noqa: F401  (before numpy, so its one-BLAS-thread default applies here too)
+
 import numpy as np
 import pytest
 

@@ -142,6 +142,24 @@ def depthwise_conv1d_direct(x, w, bias=None, dilation=1, stride=1, padding=0):
     return out
 
 
+def avg_pool_direct(x, g, window):
+    """Per-window loop: pooled output, and the input gradient of sum(output * g).
+
+    Positions past the last whole window take no part and get zero gradient.
+    """
+    x = np.asarray(x, dtype=float).reshape(-1, np.shape(x)[-1])
+    g = np.asarray(g, dtype=float).reshape(x.shape[0], -1)
+    out_len = x.shape[1] // window
+    out = np.zeros((x.shape[0], out_len))
+    dx = np.zeros(x.shape)
+    for r in range(x.shape[0]):
+        for i in range(out_len):
+            for j in range(i * window, (i + 1) * window):
+                out[r, i] += x[r, j] / window
+                dx[r, j] = g[r, i] / window
+    return out, dx
+
+
 def auroc_pairwise(labels, scores) -> float:
     """Exhaustive pairwise comparisons; ties count one half (binary)."""
     pos = [s for s, t in zip(scores, labels) if t]

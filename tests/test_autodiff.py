@@ -97,6 +97,21 @@ def test_avg_pool_trims_remainder():
     assert out.shape == (1, 1, 3)
 
 
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5])
+def test_avg_pool_matches_loop_oracle(window):
+    for shape in [(2, 3, 4 * window + window - 1), (2, 5, 1, 3 * window), (1, window + 1)]:
+        x = Tensor(RNG.normal(size=shape), requires_grad=True)
+        with Tape() as tape:
+            out = ad.avg_pool(x, window)
+            g = RNG.normal(size=out.shape)
+            loss = ad.sum(ad.mul(out, Tensor(g)))
+        tape.backward(loss)
+        expected, dx = oracles.avg_pool_direct(x.data, g, window)
+        assert out.shape == shape[:-1] + (shape[-1] // window,)
+        assert np.allclose(out.data, expected.reshape(out.shape), atol=1e-12)
+        assert np.allclose(x.grad, dx.reshape(shape), atol=1e-12)
+
+
 def test_concat_slice_transpose_reshape_round_trip():
     a, b = RNG.normal(size=(2, 3)), RNG.normal(size=(4, 3))
     merged = ad.concat([Tensor(a), Tensor(b)], axis=0)
@@ -272,6 +287,7 @@ OP_CASES = {
     "depthwise_strided": (lambda: [t((2, 3, 13)), t((3, 2, 3))],
                           lambda x, w: ad.depthwise_conv1d(x, w, dilation=2, stride=2), {}),
     "avg_pool": (lambda: [t((2, 3, 9))], lambda x: ad.avg_pool(x, 2), {}),
+    "avg_pool_w3": (lambda: [t((2, 3, 10))], lambda x: ad.avg_pool(x, 3), {}),
     "relu": (lambda: [Tensor(RNG.normal(size=(4, 5)) + np.sign(RNG.normal(size=(4, 5))) * 0.3,
                              requires_grad=True)], ad.relu, {}),
     "exp": (lambda: [t((3, 3))], ad.exp, {}),

@@ -299,6 +299,23 @@ def test_non_utf8_input_exits_2(quick_config, tmp_path, capsys, name, error):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length,message", [("-1", "length >= 1"),
+                                            ("10000000000000", "too short")],
+                         ids=["negative", "huge"])
+def test_manifest_length_checked_before_allocating_exits_2(quick_config, tmp_path, capsys, length,
+                                                           message):
+    assert main(["synth-gen", "--config", str(quick_config), "--out", str(tmp_path / "gen"),
+                 "--seeds", "1"]) == 0
+    (tmp_path / "gen" / "manifest.txt").write_text(f"data.csv,2,1,{length}\n")
+    config = tmp_path / "csv.cfg"
+    config.write_text(QUICK_CFG.replace("data.source = synth",
+                                        "data.source = csv\ndata.manifest = gen/manifest.txt"))
+    code = main(["train", "--config", str(config), "--out", str(tmp_path / "run"), "--seeds", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error[data]" in err and message in err
+
+
 FIVE_BLOCKS = ["--override", "model.num_blocks=5", "--override", "model.dilations=1,1,1,1,1"]
 
 

@@ -144,6 +144,18 @@ def test_empty_file_rejected(tmp_path):
         load_csv(tmp_path / "manifest.txt")
 
 
+def test_blank_lines_do_not_size_the_array(tmp_path):
+    # 2**20 blank lines under a length-100000 header would size an 800 GB
+    # array if every newline could start a row; the file's bytes bound it.
+    length = 100_000
+    with open(tmp_path / "data.csv", "w") as fh:
+        fh.write(",".join(["sample_id", "subject_id", "trial_id", "label", "channel"]
+                          + [f"v{i}" for i in range(length)]) + "\n")
+        fh.write("\n" * 2**20)
+    (tmp_path / "manifest.txt").write_text(f"data.csv,2,1,{length}\n")
+    with pytest.raises(DataError, match="no data rows"):
+        load_csv(tmp_path / "manifest.txt")
+
 def test_out_of_range_label_rejected(tmp_path):
     (tmp_path / "data.csv").write_text(
         "sample_id,subject_id,trial_id,label,channel,v0,v1\n"

@@ -3,10 +3,12 @@
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import numpy as np
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from semicl.config import SCHEMA, ExperimentConfig, load_config
+from semicl.data import SemiLabeledDataset, load_csv, write_csv
 from semicl.errors import SemiCLError
 from semicl.nn import EncoderClassifier, EncoderConfig, load_checkpoint, save_checkpoint
 
@@ -15,11 +17,11 @@ FUZZ = settings(max_examples=200, deadline=None,
 TEXT = st.text(st.characters(codec="utf-8"), max_size=40)
 
 
-def loads_or_rejects(load, path):
-    """Return what `load(path)` gives; a SemiCLError counts as a clean rejection."""
+def loads_or_rejects(load, path, *clean):
+    """Return what `load(path)` gives; a SemiCLError, or one of `clean`, counts as a rejection."""
     try:
         return load(path)
-    except SemiCLError:
+    except (SemiCLError, *clean):
         return None
 
 
@@ -66,3 +68,61 @@ def test_checkpoint_from_arbitrary_headers(tmp_path, lines, payload):
     path.write_bytes(header.encode("utf-8") + b"DATA\n" + payload)
     model = loads_or_rejects(load_checkpoint, path)
     assert model is None or isinstance(model, EncoderClassifier)
+
+
+def _tiny_csv() -> bytes:
+    rng = np.random.default_rng(0)
+    dataset = SemiLabeledDataset(rng.normal(size=(3, 2, 3)), np.array([0, 1, -1]),
+                                 np.array(["s0", "s0", "s1"]), np.array(["t0", "t1", "t0"]), 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.csv"
+        write_csv(dataset, path)
+        return path.read_bytes()
+
+
+CSV_HEADER, *CSV_ROWS = _tiny_csv().decode("ascii").splitlines()
+
+
+def _mutated(row: str, field: int, text: str) -> str:
+    fields = row.split(",")
+    fields[field % len(fields)] = text
+    return ",".join(fields)
+
+
+CSV_ROW = st.one_of(st.sampled_from(CSV_ROWS), TEXT,
+                    st.builds(_mutated, st.sampled_from(CSV_ROWS), st.integers(0, 7), TEXT),
+                    st.builds(lambda row, cut: row[:cut], st.sampled_from(CSV_ROWS), st.integers(0, 60)))
+
+
+def _manifest_loads_or_rejects(tmp_path, blob: bytes):
+    (tmp_path / "a.csv").write_text(CSV_HEADER + "\n" + "\n".join(CSV_ROWS) + "\n")
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(blob)
+    # A manifest naming a missing file or a directory is the CLI's I/O error (exit 4).
+    dataset = loads_or_rejects(load_csv, path, FileNotFoundError, IsADirectoryError)
+    assert dataset is None or isinstance(dataset, SemiLabeledDataset)
+
+
+@FUZZ
+@given(st.binary(max_size=200))
+def test_manifest_from_arbitrary_bytes(tmp_path, blob):
+    _manifest_loads_or_rejects(tmp_path, blob)
+
+
+@FUZZ
+@given(st.sampled_from(["a.csv", "b.csv", ""]), st.integers(), st.integers(), st.integers())
+@example("a.csv", 2, 1, -1)
+@example("a.csv", 2, 1, 10_000_000_000_000)
+@example("a.csv", 2, 2**62, 3)
+def test_manifest_with_arbitrary_sizes(tmp_path, name, num_classes, channels, length):
+    _manifest_loads_or_rejects(tmp_path, f"{name},{num_classes},{channels},{length}\n".encode())
+
+
+@FUZZ
+@given(st.lists(CSV_ROW, max_size=8), st.binary(max_size=8))
+def test_csv_rows_after_a_valid_header(tmp_path, rows, tail):
+    (tmp_path / "a.csv").write_bytes("\n".join([CSV_HEADER] + rows).encode("utf-8") + b"\n" + tail)
+    path = tmp_path / "manifest.txt"
+    path.write_text("a.csv,2,2,3\n")
+    dataset = loads_or_rejects(load_csv, path)
+    assert dataset is None or isinstance(dataset, SemiLabeledDataset)
