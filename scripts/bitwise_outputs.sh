@@ -2,9 +2,9 @@
 # Run the deterministic command set on small configs and print the sha256 of
 # every output file except the timestamped run.log sidecar. Then print the
 # sha256 of both convolutions' outputs and input, kernel and bias gradients on
-# seeded inputs over a small grid with strides, dilations and no-bias cases,
-# and of avg_pool's output and input gradient for windows 1-7 with and without
-# a remainder: paths the commands never take.
+# seeded inputs over a small grid with strides, dilations, one-tap kernels and
+# no-bias cases, and of avg_pool's output and input gradient for windows 1-7
+# with and without a remainder: paths the commands never take.
 #
 #     scripts/bitwise_outputs.sh OUT > digests.txt
 #
@@ -101,7 +101,9 @@ from semicl import autodiff as ad
 
 # (dilation, stride, padding): the encoder's geometries, then strided and dilated ones.
 GEOMETRIES = [(1, 1, 0), (1, 1, 1), (2, 1, 2), (1, 2, 1), (2, 2, 2), (4, 1, 0)]
+# A one-tap kernel, as the pointwise convolutions use, has its own backward path.
 OPS = {"conv1d": (ad.conv1d, (4, 3, 3), 4),
+       "conv1d_one_tap": (ad.conv1d, (4, 3, 1), 4),
        "depthwise_conv1d": (ad.depthwise_conv1d, (3, 2, 3), 6)}
 for (name, (op, w_shape, c_out)), (dil, stride, pad), biased in itertools.product(
         OPS.items(), GEOMETRIES, (True, False)):

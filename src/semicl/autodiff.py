@@ -438,7 +438,8 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int,
     Owns the checks, the padding, the tap slices, both tap loops and the bias
     gradient. The caller supplies the three per-tap products: `fwd_tap(wk, xt)`
     is the output of kernel tap `wk` on input slice `xt`, `dx_tap(wk, g)` its
-    input gradient and `dw_tap(g, xt)` its kernel gradient. The input reaches
+    input gradient, and `dw_tap(g)(xt)` its kernel gradient (`dw_tap(g)` runs
+    once per backward call, so it can lay `g` out for all taps). The input reaches
     them as (n, C_in, L) with n the product of the leading axes; the output
     and its gradient as (n, C, M, L_out) for a depthwise kernel (C, M, K) and
     as (n, C_out, L_out) otherwise.
@@ -472,22 +473,31 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int,
     x3 = xp.reshape(-1, c_in, xp.shape[-1])
     taps = [np.s_[:, :, s: s + stride * (out_len - 1) + 1: stride]
             for s in range(0, k * dilation, dilation)]
-    out_channels = w.shape[:2] if depthwise else (c_out,)
-    acc = np.zeros((x3.shape[0],) + out_channels + (out_len,))
-    for kk, tap in enumerate(taps):
-        acc += fwd_tap(w.data[:, :, kk], x3[tap])
+    # Summed from the first tap's product, then `+= 0.0`: the same bytes as
+    # summing from a zero fill, signed zeros too, without the fill.
+    acc = fwd_tap(w.data[:, :, 0], x3[taps[0]])
+    for kk in range(1, k):
+        acc += fwd_tap(w.data[:, :, kk], x3[taps[kk]])
+    acc += 0.0
     out = acc.reshape(x3.shape[0], c_out, out_len)
     if bias is not None:
         out += bias.data[:, None]
 
     def bwd(g):
         gs = g.reshape(acc.shape)
-        dxp = np.zeros_like(x3)
-        dw = np.zeros_like(w.data)
-        for kk, tap in enumerate(taps):
-            dxp[tap] += dx_tap(w.data[:, :, kk], gs)
-            dw[:, :, kk] = dw_tap(gs, x3[tap])
-        dx = dxp.reshape(xp.shape)[..., padding: padding + length]
+        dw_of = dw_tap(gs)
+        dw = np.stack([dw_of(x3[tap]) for tap in taps], axis=-1)
+        del dw_of  # frees the op's layout of g before the input gradient is built
+        if k == 1 and stride == 1 and not padding:
+            # The one tap covers the whole input: no buffer to fill or scatter,
+            # and `+= 0.0` keeps the zero fill's signed zeros.
+            dx = dx_tap(w.data[:, :, 0], gs)
+            dx += 0.0
+        else:
+            dxp = np.zeros_like(x3)
+            for kk, tap in enumerate(taps):
+                dxp[tap] += dx_tap(w.data[:, :, kk], gs)
+            dx = dxp.reshape(xp.shape)[..., padding: padding + length]
         grads = [dx.reshape(x.shape), dw]
         if bias is not None:
             grads.append(gs.sum(axis=(0, -1)).reshape(c_out))
@@ -509,7 +519,7 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1,
         "conv1d", x, w, bias, dilation, stride, padding, depthwise=False,
         fwd_tap=np.matmul,
         dx_tap=lambda wk, g: np.matmul(wk.T, g),
-        dw_tap=lambda g, xt: np.matmul(g, xt.transpose(0, 2, 1)).sum(axis=0),
+        dw_tap=lambda g: lambda xt: np.matmul(g, xt.transpose(0, 2, 1)).sum(axis=0),
     )
 
 
@@ -524,8 +534,20 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation:
         "depthwise_conv1d", x, w, bias, dilation, stride, padding, depthwise=True,
         fwd_tap=lambda wk, xt: xt[:, :, None, :] * wk[None, :, :, None],
         dx_tap=lambda wk, g: np.einsum("ncml,cm->ncl", g, wk),
-        dw_tap=lambda g, xt: np.einsum("bcml,bcl->cm", g, xt, optimize=True),
+        dw_tap=_depthwise_dw_tap,
     )
+
+
+def _depthwise_dw_tap(g):
+    """Per-tap depthwise kernel gradient: the sum over (b, l) of g[b,c,m,l] * xt[b,c,l].
+
+    Byte for byte the product that `np.einsum("bcml,bcl->cm", g, xt,
+    optimize=True)` runs, but `g` is copied into its layout once per backward
+    call instead of once per tap.
+    """
+    c, m = g.shape[1:3]
+    gt = g.transpose(1, 0, 3, 2).reshape(c, -1, m)
+    return lambda xt: np.matmul(xt.transpose(1, 0, 2).reshape(c, 1, -1), gt).reshape(c, m)
 
 
 def avg_pool(x: Tensor, window: int) -> Tensor:

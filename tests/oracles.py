@@ -142,6 +142,60 @@ def depthwise_conv1d_direct(x, w, bias=None, dilation=1, stride=1, padding=0):
     return out
 
 
+def correlate_tap_loop(x, w, bias, g, depthwise, dilation=1, stride=1, padding=0):
+    """The convolutions' original tap loop, kept as the byte reference.
+
+    Zero-filled accumulators, one product per kernel tap, a scatter into a
+    zero-filled padded input gradient and the depthwise kernel gradient as
+    `einsum(..., optimize=True)`. `x` is (..., C_in, L) and `g` the upstream
+    gradient of the output. Returns the output and the input, kernel and bias
+    gradients (the last None without a bias).
+    """
+    k = w.shape[2]
+    c_in, c_out = (w.shape[0], w.shape[0] * w.shape[1]) if depthwise else (w.shape[1], w.shape[0])
+    length = x.shape[-1]
+    out_len = (length + 2 * padding - (k - 1) * dilation - 1) // stride + 1
+    if depthwise:
+        def fwd_tap(wk, xt):
+            return xt[:, :, None, :] * wk[None, :, :, None]
+
+        def dx_tap(wk, g):
+            return np.einsum("ncml,cm->ncl", g, wk)
+
+        def dw_tap(g, xt):
+            return np.einsum("bcml,bcl->cm", g, xt, optimize=True)
+    else:
+        fwd_tap = np.matmul
+
+        def dx_tap(wk, g):
+            return np.matmul(wk.T, g)
+
+        def dw_tap(g, xt):
+            return np.matmul(g, xt.transpose(0, 2, 1)).sum(axis=0)
+
+    xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(padding, padding)]) if padding else x
+    x3 = xp.reshape(-1, c_in, xp.shape[-1])
+    taps = [np.s_[:, :, s: s + stride * (out_len - 1) + 1: stride]
+            for s in range(0, k * dilation, dilation)]
+    out_channels = w.shape[:2] if depthwise else (c_out,)
+    acc = np.zeros((x3.shape[0],) + out_channels + (out_len,))
+    for kk, tap in enumerate(taps):
+        acc += fwd_tap(w[:, :, kk], x3[tap])
+    out = acc.reshape(x3.shape[0], c_out, out_len)
+    if bias is not None:
+        out += bias[:, None]
+
+    gs = g.reshape(acc.shape)
+    dxp = np.zeros_like(x3)
+    dw = np.zeros_like(w)
+    for kk, tap in enumerate(taps):
+        dxp[tap] += dx_tap(w[:, :, kk], gs)
+        dw[:, :, kk] = dw_tap(gs, x3[tap])
+    dx = dxp.reshape(xp.shape)[..., padding: padding + length]
+    db = None if bias is None else gs.sum(axis=(0, -1)).reshape(c_out)
+    return out.reshape(x.shape[:-2] + (c_out, out_len)), dx.reshape(x.shape), dw, db
+
+
 def avg_pool_direct(x, g, window):
     """Per-window loop: pooled output, and the input gradient of sum(output * g).
 

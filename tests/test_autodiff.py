@@ -84,6 +84,60 @@ def test_depthwise_conv1d_matches_loop_oracle():
     assert np.allclose(out.data, flat.reshape(2, 5, 6, 10), atol=1e-12)
 
 
+def _encoder_convolutions():
+    """The 12 convolutions of the univariate encoder at 245 rows and F=4:
+    (name, op, input shape, kernel shape, kwargs) for blocks with dilations 1, 2, 4."""
+    cases, f_in, length = [], 1, 128
+    for i, d in enumerate((1, 2, 4)):
+        cases += [(f"b{i}.pw", ad.conv1d, (245, 1, f_in, length), (4, f_in, 1), {}),
+                  (f"b{i}.temporal", ad.conv1d, (245, 1, 4, length), (4, 4, 3),
+                   {"dilation": d, "padding": d}),
+                  (f"b{i}.cross", ad.conv1d, (245, 1, 4, length), (4, 4, 1), {}),
+                  (f"b{i}.depthwise", ad.depthwise_conv1d, (245, 1, 4, length), (4, 2, 3),
+                   {"padding": 1})]
+        f_in, length = 8, length // 2
+    return cases
+
+
+# The encoder's convolutions, then small ones over the geometries of
+# scripts/bitwise_outputs.sh (one-tap kernels included), with and without bias.
+BYTE_CASES = _encoder_convolutions() + [
+    (f"{op.__name__}{w_shape}-d{d}s{s}p{p}", op, (2, 3, 3, 17), w_shape,
+     {"dilation": d, "stride": s, "padding": p})
+    for op, w_shape in [(ad.conv1d, (4, 3, 3)), (ad.conv1d, (4, 3, 1)),
+                        (ad.depthwise_conv1d, (3, 2, 3)), (ad.depthwise_conv1d, (3, 2, 1))]
+    for d, s, p in [(1, 1, 0), (1, 1, 1), (2, 1, 2), (1, 2, 1), (2, 2, 2), (4, 1, 0)]]
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("biased", [True, False], ids=["bias", "nobias"])
+@pytest.mark.parametrize("name,op,x_shape,w_shape,kwargs", BYTE_CASES,
+                         ids=[c[0] for c in BYTE_CASES])
+def test_convolutions_keep_the_tap_loop_bytes(name, op, x_shape, w_shape, kwargs, biased):
+    rng = np.random.default_rng(len(name))
+    data = rng.normal(size=x_shape)
+    data[..., 3:9] = -0.0  # windows of signed zeros only
+    w_data = rng.normal(size=w_shape)
+    c_out = w_shape[0] * (w_shape[1] if op is ad.depthwise_conv1d else 1)
+    b_data = rng.normal(size=c_out) if biased else None
+    x, w = Tensor(data, requires_grad=True), Tensor(w_data, requires_grad=True)
+    b = Tensor(b_data, requires_grad=True) if biased else None
+    with Tape() as tape:
+        out = op(x, w, b, **kwargs)
+        g = rng.normal(size=out.shape)
+        g[..., ::5] = -0.0
+        loss = ad.sum(ad.mul(out, Tensor(g)))
+    tape.backward(loss)
+    expected = oracles.correlate_tap_loop(data, w_data, b_data, g, op is ad.depthwise_conv1d,
+                                          **kwargs)
+    got = (out.data, x.grad, w.grad, b.grad if biased else None)
+    for key, a, e in zip(("out", "dx", "dw", "db"), got, expected):
+        assert (a is None and e is None) or _same_bytes(a, e), key
+
+
 def test_avg_pool_halves_length():
     x = RNG.normal(size=(2, 3, 8))
     out = ad.avg_pool(Tensor(x), 2)
@@ -282,6 +336,9 @@ OP_CASES = {
     "matmul": (lambda: [t((3, 4)), t((4, 2))], ad.matmul, {}),
     "conv1d": (lambda: [t((2, 3, 11)), t((4, 3, 3)), t((4,))],
                lambda x, w, b: ad.conv1d(x, w, b, dilation=2, padding=2), {}),
+    "conv1d_one_tap": (lambda: [t((2, 3, 7)), t((4, 3, 1)), t((4,))], ad.conv1d, {}),
+    "conv1d_one_tap_strided": (lambda: [t((2, 3, 8)), t((4, 3, 1))],
+                               lambda x, w: ad.conv1d(x, w, stride=2), {}),
     "depthwise": (lambda: [t((2, 3, 8)), t((3, 2, 3)), t((6,))],
                   lambda x, w, b: ad.depthwise_conv1d(x, w, b, padding=1), {}),
     "depthwise_strided": (lambda: [t((2, 3, 13)), t((3, 2, 3))],

@@ -12,8 +12,9 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def run_python(code: str, **env: str) -> str:
-    """stdout of `code` in a fresh interpreter with only the given thread variables set."""
-    clean = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    """stdout of `code` in a fresh interpreter with only the given thread and allocator variables set."""
+    clean = {k: v for k, v in os.environ.items()
+             if k not in THREAD_VARS and not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
     clean["PYTHONPATH"] = str(SRC)
     done = subprocess.run([sys.executable, "-c", code], env=clean | env, capture_output=True,
                           text=True, check=True)
