@@ -67,31 +67,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Small amount of operator sugar; the module-level functions are the API.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_scalar(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -180,13 +157,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad = np.asarray(g)
     else:
         t.grad = t.grad + g
-
-
-def backward(loss: Tensor) -> None:
-    """Run the backward pass of the tape that recorded `loss`."""
-    if loss._tape is None:
-        raise TapeStateError("loss was not recorded on any tape")
-    loss._tape.backward(loss)
 
 
 def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:

@@ -237,14 +237,3 @@ class ExperimentConfig:
             manifest = Path(self.source_path).parent / manifest
         return load_csv(manifest)
 
-    def to_text(self) -> str:
-        lines = []
-        for key in SCHEMA:
-            val = self.values[key]
-            if isinstance(val, tuple):
-                val = ",".join(str(v) for v in val)
-            elif isinstance(val, bool):
-                val = "true" if val else "false"
-            lines.append(f"{key} = {val}")
-        return "\n".join(lines) + "\n"
-

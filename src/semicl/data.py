@@ -99,13 +99,9 @@ class SemiLabeledDataset:
     def num_labeled(self) -> int:
         return int((self.labels != UNLABELED).sum())
 
-    @property
-    def num_unlabeled(self) -> int:
-        return len(self) - self.num_labeled
-
     @cached_property
     def samples(self) -> tuple[TimeSeriesSample, ...]:
-        """Row view for readers that walk samples one at a time; built once."""
+        """Row view, built once; kept for perfbench's tracer and set-up probe."""
         return tuple(TimeSeriesSample(v, label, subject, trial) for v, label, subject, trial
                      in zip(self.values, self.labels.tolist(), self.subject_ids.tolist(),
                             self.trial_ids.tolist()))
@@ -125,7 +121,6 @@ class SplitPlan:
     pattern: str
     train_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
-    seed: int
 
     def __post_init__(self):
         overlap = set(self.train_indices) & set(self.test_indices)
@@ -271,61 +266,45 @@ def write_csv(dataset: SemiLabeledDataset, csv_path, manifest_path=None) -> None
 # label-ratio subsetting
 # ---------------------------------------------------------------------------
 
-def apply_label_ratio(dataset: SemiLabeledDataset, ratio: float, seed: int) -> SemiLabeledDataset:
-    """Keep labels on a stratified ceil(ratio*M) subset; hide the rest.
+def hide_train_labels(dataset: SemiLabeledDataset, plan: SplitPlan, ratio: float,
+                      seed: int) -> SemiLabeledDataset:
+    """Keep labels on a stratified ceil(ratio*M) subset of the M train samples.
 
-    Sample count is unchanged; hidden samples keep their values but become
-    unlabeled. Per-class quotas use largest-remainder rounding, so class
+    Test labels and the sample count stay; hidden samples keep their values but
+    become unlabeled. Per-class quotas use largest-remainder rounding, so class
     proportions are preserved within one sample.
     """
-    return replace(dataset, labels=_ratio_labels(dataset.labels, ratio, seed), label_ratio=ratio)
-
-
-def _ratio_labels(labels: np.ndarray, ratio: float, seed: int) -> np.ndarray:
-    """`labels` with all but a stratified ceil(ratio*M) subset set to UNLABELED."""
     if not (0.0 < ratio <= 1.0):
         raise ContractError(f"label ratio must be in (0, 1], got {ratio}")
-    if (labels == UNLABELED).any():
-        raise ContractError("apply_label_ratio expects a fully labeled dataset")
     if ratio == 1.0:
-        return labels
+        return replace(dataset, label_ratio=1.0)
+    train = list(plan.train_indices)
+    labels = dataset.labels.copy()
+    train_labels = labels[train]
+    m = len(train_labels)
+    hidden = int((train_labels == UNLABELED).sum())
+    if hidden:
+        raise ContractError(f"label ratio {ratio} needs every train sample labeled, but "
+                            f"{hidden} of the {m} train samples have label {UNLABELED}")
 
-    m = len(labels)
     target = math.ceil(ratio * m)
     # sorted(set()) rather than np.unique: the first np.unique call pays a lazy import.
-    classes = sorted(set(labels.tolist()))
-    by_class = {c: np.flatnonzero(labels == c) for c in classes}
+    classes = sorted(set(train_labels.tolist()))
+    by_class = {c: np.flatnonzero(train_labels == c) for c in classes}
     quotas = {c: int(math.floor(ratio * len(by_class[c]))) for c in classes}
-    remainders = sorted(
-        classes,
-        key=lambda c: (-(ratio * len(by_class[c]) - quotas[c]), c),
-    )
-    short = target - sum(quotas.values())
-    for c in remainders[:short]:
+    remainders = sorted(classes, key=lambda c: (-(ratio * len(by_class[c]) - quotas[c]), c))
+    for c in remainders[:target - sum(quotas.values())]:
         quotas[c] += 1
-    if any(quotas[c] == 0 for c in classes):
-        empty = [c for c in classes if quotas[c] == 0]
-        raise StratificationError(
-            f"ratio {ratio} leaves classes {empty} without labeled samples"
-        )
+    empty = [c for c in classes if quotas[c] == 0]
+    if empty:
+        raise StratificationError(f"ratio {ratio} leaves classes {empty} without labeled samples")
 
     rng = stream(seed, "label_ratio")
     out = np.full(m, UNLABELED, dtype=np.int64)
     for c in classes:
         idx = by_class[c]
-        keep = idx[rng.permutation(len(idx))[: quotas[c]]]
-        out[keep] = c
-    return out
-
-
-def hide_train_labels(dataset: SemiLabeledDataset, plan: SplitPlan, ratio: float,
-                      seed: int) -> SemiLabeledDataset:
-    """Apply the label ratio inside the train split only; test labels stay."""
-    if ratio == 1.0:
-        return replace(dataset, label_ratio=1.0)
-    train = list(plan.train_indices)
-    labels = dataset.labels.copy()
-    labels[train] = _ratio_labels(labels[train], ratio, seed)
+        out[idx[rng.permutation(len(idx))[: quotas[c]]]] = c
+    labels[train] = out
     return replace(dataset, labels=labels, label_ratio=ratio)
 
 
@@ -397,7 +376,6 @@ def make_split(dataset: SemiLabeledDataset, pattern: str, params: SplitParams,
         pattern=pattern,
         train_indices=tuple(np.flatnonzero(~test).tolist()),
         test_indices=tuple(np.flatnonzero(test).tolist()),
-        seed=seed,
     )
 
 

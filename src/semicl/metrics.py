@@ -142,10 +142,6 @@ class EvalReport:
     def add(self, metrics: dict[str, float]) -> None:
         self.runs.append({k: float(metrics[k]) for k in METRIC_NAMES})
 
-    @property
-    def n_runs(self) -> int:
-        return len(self.runs)
-
     def mean(self) -> dict[str, float]:
         self._require_runs()
         return {k: float(np.mean([r[k] for r in self.runs])) for k in METRIC_NAMES}

@@ -5,7 +5,7 @@ import pytest
 
 from semicl.cli import main
 from semicl.config import load_config
-from semicl.data import load_csv
+from semicl.data import load_csv, make_split
 from semicl.errors import ConfigError, ParseError, SchemaError
 from semicl.experiments import prepare_data, run_single
 from semicl.metrics import METRIC_NAMES
@@ -339,3 +339,29 @@ def test_eval_checkpoint_needing_longer_series_exits_2(quick_config, tmp_path, c
     err = capsys.readouterr().err
     assert "error[config]: checkpoint" in err and "length >= 32" in err
     assert not (tmp_path / "eval" / "report.csv").exists()
+
+
+def test_label_ratio_on_unlabeled_train_rows_exits_2(quick_config, tmp_path, capsys):
+    labels = [0, 1, -1, -1, 0, 1, -1, -1]
+    header = "sample_id,subject_id,trial_id,label,channel," + ",".join(f"v{i}" for i in range(16))
+    rows = [f"n{i},s{i % 4},t{i // 4},{label},0," + ",".join(f"{(i + j) % 5 * 0.5}" for j in range(16))
+            for i, label in enumerate(labels)]
+    (tmp_path / "data.csv").write_text("\n".join([header, *rows]) + "\n")
+    (tmp_path / "manifest.txt").write_text("data.csv,2,1,16\n")
+    config = tmp_path / "csv.cfg"
+    config.write_text(QUICK_CFG.replace("data.source = synth",
+                                        "data.source = csv\ndata.manifest = manifest.txt"))
+    exp = load_config(config)
+    dataset = exp.build_dataset(1)
+    plan = make_split(dataset, exp["split.pattern"], exp.split_params(), 1)
+    hidden = sum(labels[i] == -1 for i in plan.train_indices)
+    assert hidden >= 2 and len(plan.train_indices) == 6
+
+    code = main(["train", "--config", str(config), "--out", str(tmp_path / "run"), "--seeds", "1",
+                 "--label-ratio", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"error[data]: label ratio 0.5 needs every train sample labeled, but {hidden} of the "
+            "6 train samples have label -1") in err
+    assert "apply_label_ratio" not in err
+    assert not (tmp_path / "run" / "report.csv").exists()

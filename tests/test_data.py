@@ -7,7 +7,7 @@ from semicl.data import (
     UNLABELED,
     SemiLabeledDataset,
     SplitParams,
-    apply_label_ratio,
+    SplitPlan,
     hide_train_labels,
     labeled_subset_hash,
     load_csv,
@@ -88,7 +88,7 @@ def test_load_counts_labeled_unlabeled(tmp_path):
     ds = edited(make_dataset(n=3, channels=1, num_classes=2), labels={0: 0, 1: UNLABELED, 2: 1})
     write_csv(ds, tmp_path / "data.csv", tmp_path / "manifest.txt")
     loaded = load_csv(tmp_path / "manifest.txt")
-    assert loaded.num_labeled == 2 and loaded.num_unlabeled == 1
+    assert loaded.num_labeled == 2 and len(loaded) - loaded.num_labeled == 1
 
 
 def test_manifest_with_multiple_files(tmp_path):
@@ -214,9 +214,14 @@ def test_samples_missing_channels_beyond_row_capacity_rejected(tmp_path):
 # label ratio
 # ---------------------------------------------------------------------------
 
+def all_train(ds):
+    """A split whose train side is every sample, so the label ratio sees them all."""
+    return SplitPlan("trial_dependent", tuple(range(len(ds))), ())
+
+
 def test_ratio_one_keeps_everything():
     ds = make_dataset(n=10)
-    out = apply_label_ratio(ds, 1.0, seed=0)
+    out = hide_train_labels(ds, all_train(ds), 1.0, seed=0)
     assert out.num_labeled == 10 and out.label_ratio == 1.0
 
 
@@ -224,7 +229,7 @@ def test_stratified_counts_balanced_two_class():
     ds = SemiLabeledDataset(values=RNG.normal(size=(100, 1, 4)), labels=np.arange(100) % 2,
                             subject_ids=["s"] * 100, trial_ids=[f"t{i}" for i in range(100)],
                             num_classes=2)
-    out = apply_label_ratio(ds, 0.1, seed=3)
+    out = hide_train_labels(ds, all_train(ds), 0.1, seed=3)
     labels = out.labels[out.labels != UNLABELED].tolist()
     assert len(labels) == 10
     assert labels.count(0) == 5 and labels.count(1) == 5
@@ -233,17 +238,17 @@ def test_stratified_counts_balanced_two_class():
 
 def test_label_ratio_deterministic():
     ds = make_dataset(n=20)
-    a = apply_label_ratio(ds, 0.3, seed=5)
-    b = apply_label_ratio(ds, 0.3, seed=5)
+    a = hide_train_labels(ds, all_train(ds), 0.3, seed=5)
+    b = hide_train_labels(ds, all_train(ds), 0.3, seed=5)
     assert a.labels.tolist() == b.labels.tolist()
-    c = apply_label_ratio(ds, 0.3, seed=6)
+    c = hide_train_labels(ds, all_train(ds), 0.3, seed=6)
     assert a.labels.tolist() != c.labels.tolist()
 
 
 def test_ratio_requires_fully_labeled_input():
     ds = edited(make_dataset(n=4), labels={0: UNLABELED})
-    with pytest.raises(ContractError):
-        apply_label_ratio(ds, 0.5, seed=0)
+    with pytest.raises(ContractError, match="1 of the 4 train samples have label -1"):
+        hide_train_labels(ds, all_train(ds), 0.5, seed=0)
 
 
 def test_stratification_error_when_class_starves():
@@ -252,7 +257,7 @@ def test_stratification_error_when_class_starves():
                             trial_ids=[f"t{i}" for i in range(100)] + ["tx", "ty"],
                             num_classes=3)
     with pytest.raises(StratificationError):
-        apply_label_ratio(ds, 0.02, seed=0)
+        hide_train_labels(ds, all_train(ds), 0.02, seed=0)
 
 
 def test_hide_train_labels_leaves_test_untouched():

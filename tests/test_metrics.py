@@ -219,7 +219,7 @@ def test_eval_report_mean_std():
     for acc in (0.5, 0.7):
         rep.add({"accuracy": acc, "precision": acc, "recall": acc,
                  "f1": acc, "auroc": acc, "auprc": acc})
-    assert rep.n_runs == 2
+    assert len(rep.runs) == 2
     assert rep.mean()["accuracy"] == pytest.approx(0.6)
     assert rep.std()["accuracy"] == pytest.approx(0.1)
     empty = EvalReport()

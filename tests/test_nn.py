@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from semicl import autodiff as ad
-from semicl.autodiff import Tape, Tensor
+from semicl.autodiff import Tape, Tensor, grad_check
 from semicl.errors import ConfigError, ContractError, DimensionError, InputLengthError, SchemaError
+from semicl.losses import cross_entropy
 from semicl.nn import (
     EncoderClassifier,
     EncoderConfig,
@@ -179,6 +180,33 @@ def test_no_dead_parameters_univariate_degenerate_cross():
                 alive[name] = True
     dead = [name for name, ok in alive.items() if not ok]
     assert not dead, f"parameters with identically zero gradients: {dead}"
+
+
+def test_whole_model_gradient_multivariate(monkeypatch):
+    """encode + classify under one grad_check: the cross conv runs between two transposes."""
+    cfg = EncoderConfig(in_channels=2, num_blocks=2, dilations=(1, 2),
+                        feature_channels=2, embed_dim=4)
+    assert cfg.cross_kernel == 3
+    model = EncoderClassifier(cfg, num_classes=3, seed=0)
+    rng = np.random.default_rng(0)
+    for name, p in model.parameters().items():
+        if name.endswith(".b"):  # off zero, so no relu input sits on the kink
+            p.data[...] = rng.normal(scale=0.1, size=p.shape)
+    x = Tensor(rng.normal(size=(3, 2, 8)), requires_grad=True)
+    y = np.array([0, 1, 2])
+    relu_margin = []
+
+    def relu(h):
+        relu_margin.append(np.abs(h.data).min())
+        return ad_relu(h)
+
+    ad_relu = ad.relu
+    monkeypatch.setattr(ad, "relu", relu)
+    err = grad_check(lambda x, *params: cross_entropy(model.classify(model.encode(x)), y),
+                     [x, *model.parameters().values()], step=1e-5)
+    # A relu input within a few steps of 0 would make the central difference straddle the kink.
+    assert min(relu_margin) > 1e-4
+    assert err < 1e-4, f"whole-model relative gradient error {err:.3e}"
 
 
 def test_config_validation():

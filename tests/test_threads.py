@@ -52,3 +52,36 @@ print(max(ratios))
 
 def test_small_products_use_one_core_after_import():
     assert float(run_python(CPU_PER_WALL)) < 1.5
+
+
+# Batches of 80 give (160 x 64) @ (64 x 160) similarity products: large enough for
+# OpenBLAS's threaded path when it has a second thread.
+SMALL_TRAIN_CFG = """
+data.source = synth
+data.num_samples = 128
+data.num_classes = 2
+data.channels = 2
+data.length = 16
+data.num_subjects = 4
+data.label_ratio = 0.5
+model.num_blocks = 1
+model.dilations = 1
+model.feature_channels = 4
+model.embed_dim = 64
+train.epochs = 2
+train.batch_size = 80
+"""
+
+
+def test_train_bytes_do_not_depend_on_blas_thread_count(tmp_path):
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_TRAIN_CFG)
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        run_python("import semicl.cli; raise SystemExit(semicl.cli.main(['train', '--config', "
+                   f"{str(config)!r}, '--out', {str(out)!r}, '--seeds', '3']))",
+                   OPENBLAS_NUM_THREADS=threads)
+        outputs[threads] = {name: (out / name).read_bytes()
+                            for name in ("trace.csv", "report.csv", "model.ckpt")}
+    assert outputs["1"] == outputs["2"]
