@@ -3,8 +3,9 @@
 # every output file except the timestamped run.log sidecar. Then print the
 # sha256 of both convolutions' outputs and input, kernel and bias gradients on
 # seeded inputs over a small grid with strides, dilations, one-tap kernels and
-# no-bias cases, and of avg_pool's output and input gradient for windows 1-7
-# with and without a remainder: paths the commands never take.
+# no-bias cases, of conv1d along axis -3 over the grid's stride-1 geometries,
+# and of avg_pool's output and input gradient for windows 1-7 with and without
+# a remainder: mostly paths the commands never take.
 #
 #     scripts/bitwise_outputs.sh OUT > digests.txt
 #
@@ -105,20 +106,34 @@ GEOMETRIES = [(1, 1, 0), (1, 1, 1), (2, 1, 2), (1, 2, 1), (2, 2, 2), (4, 1, 0)]
 OPS = {"conv1d": (ad.conv1d, (4, 3, 3), 4),
        "conv1d_one_tap": (ad.conv1d, (4, 3, 1), 4),
        "depthwise_conv1d": (ad.depthwise_conv1d, (3, 2, 3), 6)}
-for (name, (op, w_shape, c_out)), (dil, stride, pad), biased in itertools.product(
-        OPS.items(), GEOMETRIES, (True, False)):
-    rng = np.random.default_rng([dil, stride, pad, biased])
-    x = ad.Tensor(rng.normal(size=(2, 3, 3, 17)), requires_grad=True)
+
+
+def conv_digests(label, op, x_shape, w_shape, c_out, dil, stride, pad, biased, seed, **kwargs):
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=x_shape), requires_grad=True)
     w = ad.Tensor(rng.normal(size=w_shape), requires_grad=True)
     b = ad.Tensor(rng.normal(size=c_out), requires_grad=True) if biased else None
     with ad.Tape() as tape:
-        out = op(x, w, b, dilation=dil, stride=stride, padding=pad)
+        out = op(x, w, b, dilation=dil, stride=stride, padding=pad, **kwargs)
         loss = ad.sum(ad.mul(out, ad.Tensor(rng.normal(size=out.shape))))
     tape.backward(loss)
     arrays = {"out": out.data, "dx": x.grad, "dw": w.grad} | ({"db": b.grad} if biased else {})
     for key, a in arrays.items():
         digest = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-        print(f"{digest}  {name}/d{dil}s{stride}p{pad}{'' if biased else '-nobias'}/{key}")
+        print(f"{digest}  {label}/d{dil}s{stride}p{pad}{'' if biased else '-nobias'}/{key}")
+
+
+for (name, (op, w_shape, c_out)), (dil, stride, pad), biased in itertools.product(
+        OPS.items(), GEOMETRIES, (True, False)):
+    conv_digests(name, op, (2, 3, 3, 17), w_shape, c_out, dil, stride, pad, biased,
+                 [dil, stride, pad, biased])
+# conv1d across the sensor axis of (batch, sensor, feature, time), as the
+# multivariate encoder runs it; off the last axis only stride 1 is defined.
+for (name, (op, w_shape, c_out)), (dil, stride, pad), biased in itertools.product(
+        list(OPS.items())[:2], GEOMETRIES, (True, False)):
+    if stride == 1:
+        conv_digests(f"{name}_axis-3", op, (2, 17, 3, 3), w_shape, c_out, dil, stride, pad,
+                     biased, [dil, stride, pad, biased, 3], axis=-3)
 
 # Up to window 7, numpy's mean sums in the order of avg_pool's strided-slice
 # sum; from 8 it sums pairwise, which the slice sum does not copy.

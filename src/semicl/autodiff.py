@@ -18,7 +18,11 @@ Convolutions are direct (non-FFT) correlations. `conv1d` and
 `depthwise_conv1d` run on one routine, `_correlate`, which checks shapes,
 pads, slices the input at each kernel tap and runs the forward and backward
 loops over the taps. Each op supplies only its three per-tap products: the
-output, the input gradient and the kernel gradient.
+output, the input gradient and the kernel gradient. Channels sit at axis -2.
+Both ops correlate along the last axis; `conv1d` can also correlate along an
+earlier axis at stride 1 (`axis=-3` runs the encoder's cross-sensor
+convolution on (batch, sensor, feature, time) without transposing it), with
+the bytes of a last-axis call on the transposed input.
 """
 
 from __future__ import annotations
@@ -401,18 +405,24 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor) -> Tensor:
 # convolution and pooling
 # ---------------------------------------------------------------------------
 
-def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int,
+def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, axis: int,
                depthwise: bool, fwd_tap, dx_tap, dw_tap) -> Tensor:
-    """Direct 1-D correlation over the last axis, shared by both convolutions.
+    """Direct 1-D correlation along one axis, shared by both convolutions.
 
     Owns the checks, the padding, the tap slices, both tap loops and the bias
     gradient. The caller supplies the three per-tap products: `fwd_tap(wk, xt)`
     is the output of kernel tap `wk` on input slice `xt`, `dx_tap(wk, g)` its
     input gradient, and `dw_tap(g)(xt)` its kernel gradient (`dw_tap(g)` runs
-    once per backward call, so it can lay `g` out for all taps). The input reaches
-    them as (n, C_in, L) with n the product of the leading axes; the output
-    and its gradient as (n, C, M, L_out) for a depthwise kernel (C, M, K) and
-    as (n, C_out, L_out) otherwise.
+    once per backward call, so it can lay `g` out for all taps). Channels are
+    always at axis -2. Along the last axis the input reaches them as
+    (n, C_in, L) with n the product of the leading axes; the output and its
+    gradient as (n, C, M, L_out) for a depthwise kernel (C, M, K) and as
+    (n, C_out, L_out) otherwise. Along an axis before the channel axis
+    (stride 1 only), `fwd_tap` and `dx_tap` see the tap slices and the output
+    gradient in the input's own layout. `dw_tap` and the bias gradient see
+    copies with the correlated axis swapped to the end and flattened to
+    (n, C, L), so they sum in the order of a last-axis call on the transposed
+    input.
     """
     x, w = as_tensor(x), as_tensor(w)
     if dilation < 1 or stride < 1 or padding < 0:
@@ -423,13 +433,21 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int,
     layout = "(C, M, K)" if depthwise else "(O, I, K)"
     if x.ndim < 2 or w.ndim != 3:
         raise DimensionError(f"{op}: need input (..., C, L) and kernel {layout}, got {x.shape} and {w.shape}")
+    if not -x.ndim <= axis < x.ndim or axis % x.ndim == x.ndim - 2:
+        raise ContractError(
+            f"{op}: axis must index input {x.shape} and not be its channel axis -2, got axis={axis}"
+        )
+    ax = axis % x.ndim
+    last = ax == x.ndim - 1
+    if stride != 1 and not last:
+        raise ContractError(f"{op}: stride must be 1 off the last axis, got stride={stride} axis={axis}")
     k = w.shape[2]
     c_in, c_out = (w.shape[0], w.shape[0] * w.shape[1]) if depthwise else (w.shape[1], w.shape[0])
     if x.shape[-2] != c_in:
         raise DimensionError(
             f"{op}: input has {x.shape[-2]} channels but kernel expects {c_in} (input {x.shape}, kernel {w.shape})"
         )
-    length = x.shape[-1]
+    length = x.shape[ax]
     out_len = (length + 2 * padding - (k - 1) * dilation - 1) // stride + 1
     if out_len < 1:
         raise DimensionError(
@@ -439,54 +457,88 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int,
     if bias is not None and bias.shape != (c_out,):
         raise DimensionError(f"{op}: bias shape {bias.shape} does not match {c_out} output channels")
 
-    xp = np.pad(x.data, [(0, 0)] * (x.ndim - 1) + [(padding, padding)]) if padding else x.data
-    x3 = xp.reshape(-1, c_in, xp.shape[-1])
-    taps = [np.s_[:, :, s: s + stride * (out_len - 1) + 1: stride]
-            for s in range(0, k * dilation, dilation)]
+    def along(dim, start, stop, step=1):
+        return (np.s_[:],) * dim + (np.s_[start:stop:step],)
+
+    def padded(a, dim):
+        """`a` zero-padded on both sides of axis `dim`: one zeroed buffer, one slice copy."""
+        if not padding:
+            return a
+        out = np.zeros(a.shape[:dim] + (a.shape[dim] + 2 * padding,) + a.shape[dim + 1:])
+        out[along(dim, padding, padding + a.shape[dim])] = a
+        return out
+
+    def taps(dim):
+        return [along(dim, s, s + stride * (out_len - 1) + 1, stride)
+                for s in range(0, k * dilation, dilation)]
+
+    # The kernel gradient always runs on (n, C, L) rows. Along the last axis
+    # the other products run on them too, and the tape keeps them. Along
+    # another axis they run on the padded input as it is, and the backward
+    # pads swapped rows from `x` again, so the tape keeps no padded copy.
+    xp = padded(x.data, ax)
+    xp_shape = xp.shape
+    rows = xp.reshape(-1, c_in, xp_shape[-1]) if last else None
+    row_taps = taps(2)
+    xs, xs_taps = (rows, row_taps) if last else (xp, taps(ax))
+    xs_shape = xs.shape
     # Summed from the first tap's product, then `+= 0.0`: the same bytes as
     # summing from a zero fill, signed zeros too, without the fill.
-    acc = fwd_tap(w.data[:, :, 0], x3[taps[0]])
+    acc = fwd_tap(w.data[:, :, 0], xs[xs_taps[0]])
     for kk in range(1, k):
-        acc += fwd_tap(w.data[:, :, kk], x3[taps[kk]])
+        acc += fwd_tap(w.data[:, :, kk], xs[xs_taps[kk]])
     acc += 0.0
-    out = acc.reshape(x3.shape[0], c_out, out_len)
+    out_shape = list(x.shape)
+    out_shape[ax], out_shape[-2] = out_len, c_out
+    out = acc.reshape(out_shape)
     if bias is not None:
         out += bias.data[:, None]
 
     def bwd(g):
         gs = g.reshape(acc.shape)
-        dw_of = dw_tap(gs)
-        dw = np.stack([dw_of(x3[tap]) for tap in taps], axis=-1)
-        del dw_of  # frees the op's layout of g before the input gradient is built
+        if last:
+            g3, r = gs, rows
+        else:
+            g3 = np.swapaxes(gs, ax, -1).reshape(-1, c_out, out_len)
+            r = padded(np.swapaxes(x.data, ax, -1), x.ndim - 1).reshape(-1, c_in, xp_shape[ax])
+        dw_of = dw_tap(g3)
+        dw = np.empty(w.shape)
+        for kk, tap in enumerate(row_taps):
+            dw[:, :, kk] = dw_of(r[tap])
+        del dw_of, r  # frees the row copies before the input gradient is built
         if k == 1 and stride == 1 and not padding:
             # The one tap covers the whole input: no buffer to fill or scatter,
             # and `+= 0.0` keeps the zero fill's signed zeros.
             dx = dx_tap(w.data[:, :, 0], gs)
             dx += 0.0
         else:
-            dxp = np.zeros_like(x3)
-            for kk, tap in enumerate(taps):
+            dxp = np.zeros(xs_shape)
+            for kk, tap in enumerate(xs_taps):
                 dxp[tap] += dx_tap(w.data[:, :, kk], gs)
-            dx = dxp.reshape(xp.shape)[..., padding: padding + length]
+            dx = dxp.reshape(xp_shape)[along(ax, padding, padding + length)]
         grads = [dx.reshape(x.shape), dw]
         if bias is not None:
-            grads.append(gs.sum(axis=(0, -1)).reshape(c_out))
+            grads.append(g3.sum(axis=(0, -1)).reshape(c_out))
         return tuple(grads)
 
     inputs = (x, w) if bias is None else (x, w, bias)
-    return _apply(out.reshape(x.shape[:-2] + (c_out, out_len)), inputs, bwd)
+    return _apply(out, inputs, bwd)
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """Direct 1-D correlation over the last axis.
+           stride: int = 1, padding: int = 0, axis: int = -1) -> Tensor:
+    """Direct 1-D correlation along `axis`, with channels at axis -2.
 
     `x` has shape (..., C_in, L) with arbitrary leading batch axes; `w` has
     shape (C_out, C_in, K). Output is (..., C_out, L_out) with
     L_out = (L + 2*padding - (K-1)*dilation - 1) // stride + 1.
+    `axis` may also name an axis before the channel axis, with stride 1: on
+    `x` of shape (B, S, C_in, T), `axis=-3` correlates across S and gives
+    (B, S_out, C_out, T), the bytes of a last-axis call on
+    `x.transpose(0, 3, 2, 1)`, transposed back.
     """
     return _correlate(
-        "conv1d", x, w, bias, dilation, stride, padding, depthwise=False,
+        "conv1d", x, w, bias, dilation, stride, padding, axis=axis, depthwise=False,
         fwd_tap=np.matmul,
         dx_tap=lambda wk, g: np.matmul(wk.T, g),
         dw_tap=lambda g: lambda xt: np.matmul(g, xt.transpose(0, 2, 1)).sum(axis=0),
@@ -501,7 +553,7 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation:
     laid out c-major: output channel index = c * M + m.
     """
     return _correlate(
-        "depthwise_conv1d", x, w, bias, dilation, stride, padding, depthwise=True,
+        "depthwise_conv1d", x, w, bias, dilation, stride, padding, axis=-1, depthwise=True,
         fwd_tap=lambda wk, xt: xt[:, :, None, :] * wk[None, :, :, None],
         dx_tap=lambda wk, g: np.einsum("ncml,cm->ncl", g, wk),
         dw_tap=_depthwise_dw_tap,

@@ -10,10 +10,13 @@ shape (batch, sensors, features, time). Each block applies four convolutions
     4. depthwise temporal convolution with depth multiplier 2,
 
 with relu after every layer, then halves the temporal axis with a window-2
-average pool. Factoring the temporal/cross pair replaces a dense 3x3 kernel
-(9 weights per channel pair) with 3 + 3 = 6, a one-third parameter saving.
-For univariate input the cross-sensor convolution degenerates to a pointwise
-map (kernel extent 1); this is documented behavior, not an error.
+average pool. Convolutions 1, 2 and 4 correlate along time (the last axis);
+the cross-sensor one correlates along the sensor axis in place (`conv1d` with
+`axis=-3`), mixing feature channels at every time step. Factoring the
+temporal/cross pair replaces a dense 3x3 kernel (9 weights per channel pair)
+with 3 + 3 = 6, a one-third parameter saving. For univariate input the
+cross-sensor convolution degenerates to a pointwise map (kernel extent 1);
+this is documented behavior, not an error.
 
 After the blocks the temporal axis is collapsed by global average pooling and
 a linear layer maps the flattened (sensor, feature) plane to the embedding.
@@ -143,7 +146,12 @@ class EncoderClassifier:
     # -- forward ------------------------------------------------------------
 
     def encode(self, x) -> Tensor:
-        """Map a batch (B, in_channels, L) to embeddings (B, embed_dim)."""
+        """Map a batch (B, in_channels, L) to embeddings (B, embed_dim).
+
+        Activations stay (B, sensors, features, time) throughout; with two or
+        more sensors the cross conv runs along axis -3 of that layout, without
+        transposing it.
+        """
         x = ad.as_tensor(x)
         cfg = self.config
         if x.ndim != 3:
@@ -167,9 +175,8 @@ class EncoderClassifier:
             h = ad.relu(ad.conv1d(h, p[f"{pre}.temporal.w"], p[f"{pre}.temporal.b"],
                                   dilation=d, padding=d))
             if cfg.cross_kernel == 3:
-                ht = ad.transpose(h, (0, 3, 2, 1))
-                ht = ad.conv1d(ht, p[f"{pre}.cross.w"], p[f"{pre}.cross.b"], padding=1)
-                h = ad.relu(ad.transpose(ht, (0, 3, 2, 1)))
+                h = ad.relu(ad.conv1d(h, p[f"{pre}.cross.w"], p[f"{pre}.cross.b"], padding=1,
+                                      axis=-3))
             else:
                 h = ad.relu(ad.conv1d(h, p[f"{pre}.cross.w"], p[f"{pre}.cross.b"]))
             h = ad.relu(ad.depthwise_conv1d(h, p[f"{pre}.depthwise.w"], p[f"{pre}.depthwise.b"],

@@ -138,6 +138,58 @@ def test_convolutions_keep_the_tap_loop_bytes(name, op, x_shape, w_shape, kwargs
         assert (a is None and e is None) or _same_bytes(a, e), key
 
 
+# conv1d across the sensor axis (axis -3 of (batch, sensor, feature, time)):
+# the multivariate encoder's three cross convolutions at 48 rows, 3 sensors
+# and F=4, then the stride-1 geometries of scripts/bitwise_outputs.sh along
+# an axis of 17.
+SENSOR_AXIS_CASES = [
+    (f"b{i}.cross", (48, 3, 4, length), (4, 4, 3), {"padding": 1})
+    for i, length in enumerate((32, 16, 8))] + [
+    (f"conv1d{w_shape}-d{d}s1p{p}", (2, 17, 3, 5), w_shape, {"dilation": d, "padding": p})
+    for w_shape in [(4, 3, 3), (4, 3, 1)]
+    for d, p in [(1, 0), (1, 1), (2, 2), (4, 0)]]
+
+
+@pytest.mark.parametrize("biased", [True, False], ids=["bias", "nobias"])
+@pytest.mark.parametrize("name,x_shape,w_shape,kwargs", SENSOR_AXIS_CASES,
+                         ids=[c[0] for c in SENSOR_AXIS_CASES])
+def test_conv1d_along_axis_minus_3_keeps_the_transposed_tap_loop_bytes(name, x_shape, w_shape,
+                                                                       kwargs, biased):
+    rng = np.random.default_rng(len(name))
+    data = rng.normal(size=x_shape)
+    data[..., 3:9] = -0.0  # windows of signed zeros only, along time
+    data[:, 3:9] = -0.0  # and along the correlated axis, where it is that long
+    w_data = rng.normal(size=w_shape)
+    b_data = rng.normal(size=w_shape[0]) if biased else None
+    x, w = Tensor(data, requires_grad=True), Tensor(w_data, requires_grad=True)
+    b = Tensor(b_data, requires_grad=True) if biased else None
+    with Tape() as tape:
+        out = ad.conv1d(x, w, b, axis=-3, **kwargs)
+        g = rng.normal(size=out.shape)
+        g[..., ::5] = -0.0
+        loss = ad.sum(ad.mul(out, Tensor(g)))
+    tape.backward(loss)
+    swap = (0, 3, 2, 1)
+    out_t, dx_t, dw, db = oracles.correlate_tap_loop(data.transpose(swap), w_data, b_data,
+                                                     g.transpose(swap), False, **kwargs)
+    expected = (out_t.transpose(swap), dx_t.transpose(swap), dw, db)
+    got = (out.data, x.grad, w.grad, b.grad if biased else None)
+    for key, a, e in zip(("out", "dx", "dw", "db"), got, expected):
+        assert (a is None and e is None) or _same_bytes(a, e), key
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"axis": -2}, "channel axis"),
+    ({"axis": 4}, "axis must index"),
+    ({"axis": -5}, "axis must index"),
+    ({"axis": -3, "stride": 2}, "stride must be 1"),
+], ids=["channel_axis", "past_last", "before_first", "strided"])
+def test_conv1d_rejects_bad_axis(kwargs, match):
+    with pytest.raises(ContractError, match=match) as info:
+        ad.conv1d(Tensor(np.zeros((2, 5, 3, 8))), Tensor(np.zeros((4, 3, 3))), **kwargs)
+    assert str(info.value).startswith("conv1d:")
+
+
 def test_avg_pool_halves_length():
     x = RNG.normal(size=(2, 3, 8))
     out = ad.avg_pool(Tensor(x), 2)

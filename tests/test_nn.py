@@ -183,7 +183,7 @@ def test_no_dead_parameters_univariate_degenerate_cross():
 
 
 def test_whole_model_gradient_multivariate(monkeypatch):
-    """encode + classify under one grad_check: the cross conv runs between two transposes."""
+    """encode + classify under one grad_check: the cross conv correlates along the sensor axis."""
     cfg = EncoderConfig(in_channels=2, num_blocks=2, dilations=(1, 2),
                         feature_channels=2, embed_dim=4)
     assert cfg.cross_kernel == 3
