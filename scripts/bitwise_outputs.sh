@@ -4,8 +4,10 @@
 # sha256 of both convolutions' outputs and input, kernel and bias gradients on
 # seeded inputs over a small grid with strides, dilations, one-tap kernels and
 # no-bias cases, of conv1d along axis -3 over the grid's stride-1 geometries,
-# and of avg_pool's output and input gradient for windows 1-7 with and without
-# a remainder: mostly paths the commands never take.
+# of avg_pool's output and input gradient for windows 1-7 with and without
+# a remainder, of unsup_contrastive's value and view gradients under both
+# denominators, and of auroc_ovr and auprc on heavily tied scores: mostly
+# paths the commands never take.
 #
 #     scripts/bitwise_outputs.sh OUT > digests.txt
 #
@@ -99,6 +101,13 @@ import itertools
 import numpy as np
 
 from semicl import autodiff as ad
+from semicl.losses import unsup_contrastive
+from semicl.metrics import auprc, auroc_ovr
+
+
+def emit(label, a):
+    print(f"{hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()}  {label}")
+
 
 # (dilation, stride, padding): the encoder's geometries, then strided and dilated ones.
 GEOMETRIES = [(1, 1, 0), (1, 1, 1), (2, 1, 2), (1, 2, 1), (2, 2, 2), (4, 1, 0)]
@@ -119,8 +128,7 @@ def conv_digests(label, op, x_shape, w_shape, c_out, dil, stride, pad, biased, s
     tape.backward(loss)
     arrays = {"out": out.data, "dx": x.grad, "dw": w.grad} | ({"db": b.grad} if biased else {})
     for key, a in arrays.items():
-        digest = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-        print(f"{digest}  {label}/d{dil}s{stride}p{pad}{'' if biased else '-nobias'}/{key}")
+        emit(f"{label}/d{dil}s{stride}p{pad}{'' if biased else '-nobias'}/{key}", a)
 
 
 for (name, (op, w_shape, c_out)), (dil, stride, pad), biased in itertools.product(
@@ -148,6 +156,25 @@ for window, lead, rest in itertools.product(range(1, 8), [(), (2, 3)], (0, 1)):
         loss = ad.sum(ad.mul(out, ad.Tensor(rng.normal(size=out.shape))))
     tape.backward(loss)
     for key, a in {"out": out.data, "dx": x.grad}.items():
-        digest = hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-        print(f"{digest}  avg_pool/w{window}{'-lead' if lead else ''}{'-rest' if rest else ''}/{key}")
+        emit(f"avg_pool/w{window}{'-lead' if lead else ''}{'-rest' if rest else ''}/{key}", a)
+
+# The commands train with the simclr denominator only.
+for mode, n, tau in itertools.product(("simclr", "paired_only"), (2, 5, 16), (0.1, 0.5)):
+    rng = np.random.default_rng([n, int(10 * tau), len(mode)])
+    zi = ad.Tensor(rng.normal(size=(n, 6)), requires_grad=True)
+    zj = ad.Tensor(rng.normal(size=(n, 6)), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = unsup_contrastive(zi, zj, tau, denominator=mode)
+    tape.backward(loss)
+    for key, a in {"loss": loss.data, "dzi": zi.grad, "dzj": zj.grad}.items():
+        emit(f"unsup_contrastive/{mode}-n{n}-tau{tau}/{key}", a)
+
+# Scores drawn from a few levels, so most of them tie; the commands' rarely do.
+for levels, classes, seed in itertools.product((1, 2, 3, 7), (2, 4), range(2)):
+    rng = np.random.default_rng([levels, classes, seed])
+    y = rng.integers(0, classes, size=50)
+    y[:classes] = np.arange(classes)
+    scores = rng.integers(0, levels, size=(50, classes)) / levels
+    for key, fn in {"auroc_ovr": auroc_ovr, "auprc": auprc}.items():
+        emit(f"metrics/levels{levels}-c{classes}-s{seed}/{key}", np.float64(fn(y, scores)))
 EOF

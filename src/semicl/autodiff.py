@@ -22,7 +22,9 @@ output, the input gradient and the kernel gradient. Channels sit at axis -2.
 Both ops correlate along the last axis; `conv1d` can also correlate along an
 earlier axis at stride 1 (`axis=-3` runs the encoder's cross-sensor
 convolution on (batch, sensor, feature, time) without transposing it), with
-the bytes of a last-axis call on the transposed input.
+the bytes of a last-axis call on the transposed input. On every axis the
+products run on the input as it is laid out, and the backward pads the input
+again rather than keeping a padded copy on the tape.
 """
 
 from __future__ import annotations
@@ -414,15 +416,16 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
     is the output of kernel tap `wk` on input slice `xt`, `dx_tap(wk, g)` its
     input gradient, and `dw_tap(g)(xt)` its kernel gradient (`dw_tap(g)` runs
     once per backward call, so it can lay `g` out for all taps). Channels are
-    always at axis -2. Along the last axis the input reaches them as
-    (n, C_in, L) with n the product of the leading axes; the output and its
-    gradient as (n, C, M, L_out) for a depthwise kernel (C, M, K) and as
-    (n, C_out, L_out) otherwise. Along an axis before the channel axis
-    (stride 1 only), `fwd_tap` and `dx_tap` see the tap slices and the output
-    gradient in the input's own layout. `dw_tap` and the bias gradient see
-    copies with the correlated axis swapped to the end and flattened to
-    (n, C, L), so they sum in the order of a last-axis call on the transposed
-    input.
+    always at axis -2. `fwd_tap` and `dx_tap` see the tap slices of the padded
+    input and the output gradient in the input's own layout, the output
+    gradient as (..., C, M, L_out) for a depthwise kernel (C, M, K) and as
+    (..., C_out, L_out) otherwise. `dw_tap` and the bias gradient see rows with
+    the correlated axis swapped to the end and the leading axes flattened:
+    (n, C_in, L) for the input, (n, C, M, L_out) or (n, C_out, L_out) for the
+    gradient. Along the last axis those rows are views of `g` and, unpadded,
+    of `x`; off it (stride 1 only) they sum in the order of a last-axis call
+    on the transposed input. The backward pads `x` again, so the tape keeps no
+    padded copy.
     """
     x, w = as_tensor(x), as_tensor(w)
     if dilation < 1 or stride < 1 or padding < 0:
@@ -438,8 +441,7 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
             f"{op}: axis must index input {x.shape} and not be its channel axis -2, got axis={axis}"
         )
     ax = axis % x.ndim
-    last = ax == x.ndim - 1
-    if stride != 1 and not last:
+    if stride != 1 and ax != x.ndim - 1:
         raise ContractError(f"{op}: stride must be 1 off the last axis, got stride={stride} axis={axis}")
     k = w.shape[2]
     c_in, c_out = (w.shape[0], w.shape[0] * w.shape[1]) if depthwise else (w.shape[1], w.shape[0])
@@ -472,22 +474,16 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
         return [along(dim, s, s + stride * (out_len - 1) + 1, stride)
                 for s in range(0, k * dilation, dilation)]
 
-    # The kernel gradient always runs on (n, C, L) rows. Along the last axis
-    # the other products run on them too, and the tape keeps them. Along
-    # another axis they run on the padded input as it is, and the backward
-    # pads swapped rows from `x` again, so the tape keeps no padded copy.
     xp = padded(x.data, ax)
     xp_shape = xp.shape
-    rows = xp.reshape(-1, c_in, xp_shape[-1]) if last else None
-    row_taps = taps(2)
-    xs, xs_taps = (rows, row_taps) if last else (xp, taps(ax))
-    xs_shape = xs.shape
+    x_taps = taps(ax)
     # Summed from the first tap's product, then `+= 0.0`: the same bytes as
     # summing from a zero fill, signed zeros too, without the fill.
-    acc = fwd_tap(w.data[:, :, 0], xs[xs_taps[0]])
+    acc = fwd_tap(w.data[:, :, 0], xp[x_taps[0]])
     for kk in range(1, k):
-        acc += fwd_tap(w.data[:, :, kk], xs[xs_taps[kk]])
+        acc += fwd_tap(w.data[:, :, kk], xp[x_taps[kk]])
     acc += 0.0
+    acc_shape = acc.shape
     out_shape = list(x.shape)
     out_shape[ax], out_shape[-2] = out_len, c_out
     out = acc.reshape(out_shape)
@@ -495,30 +491,30 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
         out += bias.data[:, None]
 
     def bwd(g):
-        gs = g.reshape(acc.shape)
-        if last:
-            g3, r = gs, rows
-        else:
-            g3 = np.swapaxes(gs, ax, -1).reshape(-1, c_out, out_len)
-            r = padded(np.swapaxes(x.data, ax, -1), x.ndim - 1).reshape(-1, c_in, xp_shape[ax])
-        dw_of = dw_tap(g3)
+        gs = g.reshape(acc_shape)
+        # Rows with the correlated axis swapped to the end; along the last
+        # axis the swaps and the reshape of `g` are views.
+        g_rows = np.swapaxes(gs, ax - x.ndim, -1)
+        g_rows = g_rows.reshape((-1,) + g_rows.shape[x.ndim - 2:])
+        x_rows = padded(np.swapaxes(x.data, ax, -1), x.ndim - 1).reshape(-1, c_in, xp_shape[ax])
+        dw_of = dw_tap(g_rows)
         dw = np.empty(w.shape)
-        for kk, tap in enumerate(row_taps):
-            dw[:, :, kk] = dw_of(r[tap])
-        del dw_of, r  # frees the row copies before the input gradient is built
+        for kk, tap in enumerate(taps(2)):
+            dw[:, :, kk] = dw_of(x_rows[tap])
+        del dw_of, x_rows  # frees the row copies before the input gradient is built
         if k == 1 and stride == 1 and not padding:
             # The one tap covers the whole input: no buffer to fill or scatter,
             # and `+= 0.0` keeps the zero fill's signed zeros.
             dx = dx_tap(w.data[:, :, 0], gs)
             dx += 0.0
         else:
-            dxp = np.zeros(xs_shape)
-            for kk, tap in enumerate(xs_taps):
+            dxp = np.zeros(xp_shape)
+            for kk, tap in enumerate(x_taps):
                 dxp[tap] += dx_tap(w.data[:, :, kk], gs)
-            dx = dxp.reshape(xp_shape)[along(ax, padding, padding + length)]
-        grads = [dx.reshape(x.shape), dw]
+            dx = dxp[along(ax, padding, padding + length)]
+        grads = [dx, dw]
         if bias is not None:
-            grads.append(g3.sum(axis=(0, -1)).reshape(c_out))
+            grads.append(g_rows.sum(axis=(0, -1)).reshape(c_out))
         return tuple(grads)
 
     inputs = (x, w) if bias is None else (x, w, bias)
@@ -554,8 +550,8 @@ def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation:
     """
     return _correlate(
         "depthwise_conv1d", x, w, bias, dilation, stride, padding, axis=-1, depthwise=True,
-        fwd_tap=lambda wk, xt: xt[:, :, None, :] * wk[None, :, :, None],
-        dx_tap=lambda wk, g: np.einsum("ncml,cm->ncl", g, wk),
+        fwd_tap=lambda wk, xt: xt[..., None, :] * wk[:, :, None],
+        dx_tap=lambda wk, g: np.einsum("...cml,cm->...cl", g, wk),
         dw_tap=_depthwise_dw_tap,
     )
 

@@ -90,22 +90,16 @@ def unsup_contrastive(zi: Tensor, zj: Tensor, tau: float,
         raise DegenerateBatchError(f"need at least 2 samples for negatives, got {n}")
 
     if denominator == "paired_only":
-        sim = ad.mul_scalar(ad.cosine_similarity_matrix(zi, zj), 1.0 / tau)
-        pos = ad.sum(ad.mul(sim, Tensor(np.eye(n))), axis=1)
-        neg_mask = 1.0 - np.eye(n)
-        lse = _masked_rowwise_logsumexp(sim, neg_mask)
-        return ad.mean(ad.sub(lse, pos))
-
-    z = ad.concat([zi, zj], axis=0)
-    sim = ad.mul_scalar(ad.cosine_similarity_matrix(z, z), 1.0 / tau)
-    m = 2 * n
-    idx = np.arange(m)
-    pos_index = (idx + n) % m
-    pos_mask = np.zeros((m, m))
-    pos_mask[idx, pos_index] = 1.0
-    neg_mask = np.ones((m, m))
-    neg_mask[idx, idx] = 0.0
-    neg_mask[idx, pos_index] = 0.0
+        a, b = zi, zj
+        pos_mask = np.eye(n)
+    else:
+        a = b = ad.concat([zi, zj], axis=0)
+        idx = np.arange(2 * n)
+        pos_mask = np.zeros((2 * n, 2 * n))
+        pos_mask[idx, (idx + n) % (2 * n)] = 1.0
+    neg_mask = 1.0 - pos_mask
+    np.fill_diagonal(neg_mask, 0.0)
+    sim = ad.mul_scalar(ad.cosine_similarity_matrix(a, b), 1.0 / tau)
     pos = ad.sum(ad.mul(sim, Tensor(pos_mask)), axis=1)
     lse = _masked_rowwise_logsumexp(sim, neg_mask)
     return ad.mean(ad.sub(lse, pos))

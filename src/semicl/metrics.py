@@ -61,15 +61,12 @@ def _binary_auroc(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     """Mann-Whitney statistic via midranks; ties count one half."""
     scores = np.concatenate([pos_scores, neg_scores])
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size)
     sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Each run of equal scores shares its midrank, an exact half-integer.
+    starts = np.flatnonzero(np.append(True, sorted_scores[1:] != sorted_scores[:-1]))
+    counts = np.diff(np.append(starts, scores.size))
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(starts + 0.5 * (counts - 1) + 1.0, counts)
     n_pos, n_neg = pos_scores.size, neg_scores.size
     u = ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

@@ -228,6 +228,24 @@ def auroc_pairwise(labels, scores) -> float:
     return total / (len(pos) * len(neg))
 
 
+def auroc_midrank_loop(pos_scores, neg_scores) -> float:
+    """Mann-Whitney statistic, midranks assigned by walking each run of ties."""
+    scores = np.concatenate([pos_scores, neg_scores])
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos, n_neg = len(pos_scores), len(neg_scores)
+    u = ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
 def auprc_threshold_sweep(labels, scores) -> float:
     """Exhaustive enumeration of thresholds; rectangular area (binary)."""
     thresholds = sorted(set(scores), reverse=True)

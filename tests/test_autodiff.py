@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,24 +86,28 @@ def test_depthwise_conv1d_matches_loop_oracle():
     assert np.allclose(out.data, flat.reshape(2, 5, 6, 10), atol=1e-12)
 
 
-def _encoder_convolutions():
-    """The 12 convolutions of the univariate encoder at 245 rows and F=4:
-    (name, op, input shape, kernel shape, kwargs) for blocks with dilations 1, 2, 4."""
-    cases, f_in, length = [], 1, 128
+def _encoder_convolutions(rows=245, sensors=1, length=128, prefix=""):
+    """The last-axis convolutions of the encoder at F=4 over blocks with dilations
+    1, 2, 4: (name, op, input shape, kernel shape, kwargs). The univariate
+    encoder at 245 rows runs all 12, its kernel-1 cross convolutions included."""
+    cases, f_in, lead = [], 1, (rows, sensors)
     for i, d in enumerate((1, 2, 4)):
-        cases += [(f"b{i}.pw", ad.conv1d, (245, 1, f_in, length), (4, f_in, 1), {}),
-                  (f"b{i}.temporal", ad.conv1d, (245, 1, 4, length), (4, 4, 3),
+        cases += [(f"{prefix}b{i}.pw", ad.conv1d, lead + (f_in, length), (4, f_in, 1), {}),
+                  (f"{prefix}b{i}.temporal", ad.conv1d, lead + (4, length), (4, 4, 3),
                    {"dilation": d, "padding": d}),
-                  (f"b{i}.cross", ad.conv1d, (245, 1, 4, length), (4, 4, 1), {}),
-                  (f"b{i}.depthwise", ad.depthwise_conv1d, (245, 1, 4, length), (4, 2, 3),
-                   {"padding": 1})]
+                  (f"{prefix}b{i}.cross", ad.conv1d, lead + (4, length), (4, 4, 1), {}),
+                  (f"{prefix}b{i}.depthwise", ad.depthwise_conv1d, lead + (4, length),
+                   (4, 2, 3), {"padding": 1})]
         f_in, length = 8, length // 2
     return cases
 
 
-# The encoder's convolutions, then small ones over the geometries of
-# scripts/bitwise_outputs.sh (one-tap kernels included), with and without bias.
+# The univariate encoder's convolutions, the multivariate encoder's last-axis
+# ones at 48 rows and 3 sensors (its cross-sensor ones run along axis -3,
+# below), then small ones over the geometries of scripts/bitwise_outputs.sh
+# (one-tap kernels included), with and without bias.
 BYTE_CASES = _encoder_convolutions() + [
+    c for c in _encoder_convolutions(48, 3, 32, prefix="multi.") if not c[0].endswith(".cross")] + [
     (f"{op.__name__}{w_shape}-d{d}s{s}p{p}", op, (2, 3, 3, 17), w_shape,
      {"dilation": d, "stride": s, "padding": p})
     for op, w_shape in [(ad.conv1d, (4, 3, 3)), (ad.conv1d, (4, 3, 1)),
@@ -176,6 +182,22 @@ def test_conv1d_along_axis_minus_3_keeps_the_transposed_tap_loop_bytes(name, x_s
     got = (out.data, x.grad, w.grad, b.grad if biased else None)
     for key, a, e in zip(("out", "dx", "dw", "db"), got, expected):
         assert (a is None and e is None) or _same_bytes(a, e), key
+
+
+@pytest.mark.parametrize("op,w_shape", [(ad.conv1d, (4, 4, 3)), (ad.depthwise_conv1d, (4, 2, 3))],
+                         ids=["conv1d", "depthwise_conv1d"])
+def test_padded_convolution_tape_keeps_no_padded_copy(op, w_shape):
+    x = Tensor(RNG.normal(size=(64, 2, 4, 1000)), requires_grad=True)
+    w = Tensor(RNG.normal(size=w_shape), requires_grad=True)
+    with Tape():
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op(x, w, padding=1)
+            held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+    assert held < 0.01 * x.data.nbytes, f"{held / 1e6:.3f} MB held beyond the output"
 
 
 @pytest.mark.parametrize("kwargs,match", [

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from semicl.errors import ContractError, DegenerateLabelError
 from semicl.metrics import (
     EvalReport,
+    _binary_auroc,
     auprc,
     auroc_ovr,
     classification_metrics,
@@ -110,6 +111,20 @@ def test_auroc_random_draws_match_oracle():
         got = auroc_ovr(y, scores)
         expected = oracles.macro_ovr(y, scores, oracles.auroc_pairwise)
         assert abs(got - expected) < 1e-12
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3, 5, None], ids=lambda v: f"levels{v}")
+def test_binary_auroc_midranks_equal_the_tie_walking_loop(levels):
+    # Scores drawn from `levels` values tie heavily; None draws untied normals.
+    for trial in range(50):
+        rng = np.random.default_rng([trial, levels or 0])
+        n_pos, n_neg = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        if levels is None:
+            scores = rng.normal(size=n_pos + n_neg)
+        else:
+            scores = rng.integers(0, levels, size=n_pos + n_neg) / 7.0
+        pos, neg = scores[:n_pos], scores[n_pos:]
+        assert _binary_auroc(pos, neg) == oracles.auroc_midrank_loop(pos, neg)
 
 
 def test_auroc_monotone_transform_invariance_exact():
