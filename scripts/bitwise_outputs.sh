@@ -6,8 +6,10 @@
 # no-bias cases, of conv1d along axis -3 over the grid's stride-1 geometries,
 # of avg_pool's output and input gradient for windows 1-7 with and without
 # a remainder, of unsup_contrastive's value and view gradients under both
-# denominators, and of auroc_ovr and auprc on heavily tied scores: mostly
-# paths the commands never take.
+# denominators, of auroc_ovr and auprc on heavily tied scores, and of
+# sup_contrastive's and cross_entropy's values and gradients, with singleton
+# classes (empty positive rows) and large logits: mostly paths the commands
+# never take.
 #
 #     scripts/bitwise_outputs.sh OUT > digests.txt
 #
@@ -101,7 +103,7 @@ import itertools
 import numpy as np
 
 from semicl import autodiff as ad
-from semicl.losses import unsup_contrastive
+from semicl.losses import cross_entropy, sup_contrastive, unsup_contrastive
 from semicl.metrics import auprc, auroc_ovr
 
 
@@ -177,4 +179,24 @@ for levels, classes, seed in itertools.product((1, 2, 3, 7), (2, 4), range(2)):
     scores = rng.integers(0, levels, size=(50, classes)) / levels
     for key, fn in {"auroc_ovr": auroc_ovr, "auprc": auprc}.items():
         emit(f"metrics/levels{levels}-c{classes}-s{seed}/{key}", np.float64(fn(y, scores)))
+
+# Singleton classes leave their anchors with no positive; far-apart logits
+# would overflow an unshifted exp.
+for labels, tau in itertools.product(([0, 1, 0, 1], [0, 0, 0, 1], [0, 0, 1, 2, 2, 1, 3]),
+                                     (0.05, 0.5)):
+    rng = np.random.default_rng([len(labels), int(100 * tau)])
+    z = ad.Tensor(rng.normal(size=(len(labels), 6)), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = sup_contrastive(z, labels, tau)
+    tape.backward(loss)
+    for key, a in {"loss": loss.data, "dz": z.grad}.items():
+        emit(f"sup_contrastive/{''.join(map(str, labels))}-tau{tau}/{key}", a)
+for (m, c), scale in itertools.product(((1, 2), (7, 3)), (1.0, 1e3)):
+    rng = np.random.default_rng([m, c, int(scale)])
+    logits = ad.Tensor(scale * rng.normal(size=(m, c)), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = cross_entropy(logits, rng.integers(0, c, size=m))
+    tape.backward(loss)
+    for key, a in {"loss": loss.data, "dlogits": logits.grad}.items():
+        emit(f"cross_entropy/m{m}-c{c}-x{scale:g}/{key}", a)
 EOF

@@ -12,6 +12,7 @@ import logging
 import sys
 
 from .config import load_config
+from .data import PATTERNS
 from .errors import ConfigError, ContractError, DataError, DivergenceError, SemiCLError
 from . import experiments
 
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config entry (repeatable)")
         p.add_argument("--pattern", default=None,
-                       choices=["trial_dependent", "leave_trials_out", "leave_subjects_out"],
+                       choices=PATTERNS,
                        help="split pattern override")
         p.add_argument("--label-ratio", type=float, default=None,
                        help="label ratio override")

@@ -19,6 +19,7 @@ from .data import PATTERNS, SemiLabeledDataset, SplitParams, load_csv
 from .errors import ConfigError
 from .losses import DENOMINATOR_MODES, LossWeights
 from .nn import EncoderConfig
+from .optim import OPTIMIZERS
 from .synth import synth_generate
 from .train import ABLATIONS, REGIMES, TrainConfig
 
@@ -90,7 +91,7 @@ SCHEMA: dict[str, tuple] = {
     "train.ablation": (_choice(*ABLATIONS), "full"),
     "train.epochs": (_int, 30),
     "train.batch_size": (_int, 100),
-    "train.optimizer": (_choice("adam", "sgd"), "adam"),
+    "train.optimizer": (_choice(*OPTIMIZERS), "adam"),
     "train.learning_rate": (_float, 1e-3),
     "train.pretrain_epochs": (_int, 30),
     "train.freeze_encoder": (_bool, False),

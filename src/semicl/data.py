@@ -95,10 +95,6 @@ class SemiLabeledDataset:
     def channels(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def num_labeled(self) -> int:
-        return int((self.labels != UNLABELED).sum())
-
     @cached_property
     def samples(self) -> tuple[TimeSeriesSample, ...]:
         """Row view, built once; kept for perfbench's tracer and set-up probe."""

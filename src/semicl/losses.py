@@ -1,8 +1,9 @@
 """The three training losses and their weighted hybrid.
 
 All contrastive similarities are cosine similarities of the raw embeddings
-(the cosine makes every loss invariant to positive rescaling). Softmax-style
-ratios are evaluated in log space with max-subtraction.
+(the cosine makes every loss invariant to positive rescaling). Each loss's
+softmax-style rows are one recorded op, `_row_logsumexp`: a masked log-sum-exp
+with max-subtraction, minus the picked positive score; its backward is closed form.
 
 Conventions pinned by the tests:
 
@@ -50,23 +51,27 @@ class LossWeights:
             raise ContractError("at least one loss weight must be positive")
 
 
-def _masked_rowwise_logsumexp(scores: Tensor, mask: np.ndarray) -> Tensor:
-    """log sum_{k in mask} exp(scores[a, k]) per row, with max-subtraction.
+def _row_logsumexp(scores: Tensor, mask: np.ndarray, minus: np.ndarray | None = None) -> Tensor:
+    """Per row, log sum_{k in mask} e^{s_ak}, minus sum_k minus[a, k] s_ak if given.
 
-    Rows whose mask is empty get a dummy all-ones mask; callers must exclude
-    those rows from any reduction (their value is meaningless but finite).
+    Max-subtracted; masked-out entries go to -inf, as they may exceed the masked
+    max by 2/tau. Empty-mask rows get an all-ones mask; callers must drop them.
     """
     mask = mask.astype(np.float64)
-    empty = mask.sum(axis=1) == 0
-    if empty.any():
-        mask = mask.copy()
-        mask[empty, :] = 1.0
-    # Row max over the masked entries, treated as a constant shift. Masked-out
-    # entries may exceed it by up to 2/tau, so they are shifted to -inf, not exp'd.
-    shift = np.where(mask > 0, scores.data, -np.inf).max(axis=1, keepdims=True)
-    e = ad.exp(ad.sub(scores, Tensor(np.where(mask > 0, shift, np.inf))))
-    total = ad.sum(ad.mul(e, Tensor(mask)), axis=1)
-    return ad.add(ad.log(total), Tensor(shift[:, 0]))
+    mask[mask.sum(axis=1) == 0, :] = 1.0
+    s = scores.data
+    shift = np.where(mask > 0, s, -np.inf).max(axis=1, keepdims=True)
+    e = np.exp(s - np.where(mask > 0, shift, np.inf))
+    arg = (e * mask).sum(axis=1) + ad.EPS
+    out = np.log(arg) + shift[:, 0]
+    if minus is not None:
+        out = out - (s * minus).sum(axis=1)
+
+    def bwd(g):
+        ds = (g / arg)[:, None] * mask * e
+        return (ds if minus is None else ds - g[:, None] * minus,)
+
+    return ad._apply(out, (scores,), bwd)
 
 
 def unsup_contrastive(zi: Tensor, zj: Tensor, tau: float,
@@ -100,9 +105,7 @@ def unsup_contrastive(zi: Tensor, zj: Tensor, tau: float,
     neg_mask = 1.0 - pos_mask
     np.fill_diagonal(neg_mask, 0.0)
     sim = ad.mul_scalar(ad.cosine_similarity_matrix(a, b), 1.0 / tau)
-    pos = ad.sum(ad.mul(sim, Tensor(pos_mask)), axis=1)
-    lse = _masked_rowwise_logsumexp(sim, neg_mask)
-    return ad.mean(ad.sub(lse, pos))
+    return ad.mean(_row_logsumexp(sim, neg_mask, pos_mask))
 
 
 def sup_contrastive(z: Tensor, labels, tau: float) -> Tensor:
@@ -134,9 +137,7 @@ def sup_contrastive(z: Tensor, labels, tau: float) -> Tensor:
         )
 
     sim = ad.mul_scalar(ad.cosine_similarity_matrix(z, z), 1.0 / tau)
-    lse_pos = _masked_rowwise_logsumexp(sim, pos_mask)
-    lse_neg = _masked_rowwise_logsumexp(sim, neg_mask)
-    per_anchor = ad.sub(lse_neg, lse_pos)
+    per_anchor = ad.sub(_row_logsumexp(sim, neg_mask), _row_logsumexp(sim, pos_mask))
     weights = valid.astype(np.float64) / valid.sum()
     return ad.sum(ad.mul(per_anchor, Tensor(weights)))
 
@@ -158,9 +159,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
         )
     onehot = np.zeros((m, c))
     onehot[np.arange(m), labels] = 1.0
-    lse = _masked_rowwise_logsumexp(logits, np.ones((m, c)))
-    picked = ad.sum(ad.mul(logits, Tensor(onehot)), axis=1)
-    return ad.mean(ad.sub(lse, picked))
+    return ad.mean(_row_logsumexp(logits, np.ones((m, c)), onehot))
 
 
 def hybrid(loss_u: Tensor | None, loss_s: Tensor | None, loss_c: Tensor | None,

@@ -139,10 +139,6 @@ class EncoderClassifier:
     def classifier_parameters(self) -> dict[str, Tensor]:
         return {k: v for k, v in self._params.items() if k.startswith("clf.")}
 
-    def zero_grad(self) -> None:
-        for p in self._params.values():
-            p.zero_grad()
-
     # -- forward ------------------------------------------------------------
 
     def encode(self, x) -> Tensor:

@@ -68,9 +68,10 @@ class Adam:
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+
+
 def make_optimizer(kind: str, params: dict[str, Tensor], lr: float):
-    if kind == "adam":
-        return Adam(params, lr)
-    if kind == "sgd":
-        return SGD(params, lr)
-    raise ContractError(f"unknown optimizer {kind!r}; use 'adam' or 'sgd'")
+    if kind not in OPTIMIZERS:
+        raise ContractError(f"unknown optimizer {kind!r}; use one of {tuple(OPTIMIZERS)}")
+    return OPTIMIZERS[kind](params, lr)

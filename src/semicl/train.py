@@ -30,13 +30,13 @@ import numpy as np
 
 from . import augment as aug
 from . import losses as L
-from .autodiff import Tape, slice_
+from .autodiff import Tape, slice_, softmax
 from .data import UNLABELED, SemiLabeledDataset, SplitPlan, zscore_by_train
 from .errors import ConfigError, ContractError, DegenerateLabelError, DivergenceError
 from .losses import LossWeights
-from .metrics import compute_all
+from .metrics import METRIC_NAMES, compute_all
 from .nn import EncoderClassifier
-from .optim import make_optimizer
+from .optim import OPTIMIZERS, make_optimizer
 from .rng import stream
 
 logger = logging.getLogger(__name__)
@@ -44,10 +44,7 @@ logger = logging.getLogger(__name__)
 REGIMES = ("end_to_end", "two_stage")
 ABLATIONS = ("full", "no_Lu", "no_Ls", "two_stage_with_Ls")
 
-TRACE_HEADER = (
-    "epoch,L_u,L_s,L_c,hybrid,val_accuracy,val_precision,val_recall,"
-    "val_f1,val_auroc,val_auprc"
-)
+TRACE_HEADER = "epoch,L_u,L_s,L_c,hybrid," + ",".join(f"val_{m}" for m in METRIC_NAMES)
 
 
 @dataclass(frozen=True)
@@ -82,7 +79,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.ntxent_denominator not in L.DENOMINATOR_MODES:
             raise ConfigError(f"unknown ntxent_denominator {self.ntxent_denominator!r}")
@@ -108,8 +105,7 @@ class EpochRecord:
 
     def csv_row(self) -> str:
         vals = [self.epoch, self.loss_u, self.loss_s, self.loss_c, self.hybrid] + [
-            self.val[k] for k in ("accuracy", "precision", "recall", "f1", "auroc", "auprc")
-        ]
+            self.val[k] for k in METRIC_NAMES]
         return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in vals)
 
 
@@ -228,10 +224,7 @@ def predict(model: EncoderClassifier, values: np.ndarray, batch_size: int = 256)
     scores = []
     for start in range(0, values.shape[0], batch_size):
         chunk = values[start: start + batch_size]
-        logits = model.classify(model.encode(chunk)).data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        scores.append(e / e.sum(axis=1, keepdims=True))
+        scores.append(softmax(model.classify(model.encode(chunk)), axis=1).data)
     scores = np.concatenate(scores, axis=0)
     return scores, scores.argmax(axis=1)
 

@@ -1,12 +1,15 @@
 """Independent brute-force oracles used by the test suite.
 
-Everything here is written as plain loops over the mathematical definitions,
-deliberately sharing no code with the implementation under test.
+Everything here, up to the byte references at the end, is written as plain
+loops over the mathematical definitions, deliberately sharing no code with the
+implementation under test.
 """
 
 import math
 
 import numpy as np
+
+from semicl import autodiff as ad
 
 
 def cosine(a, b) -> float:
@@ -271,3 +274,65 @@ def macro_ovr(y, scores, binary_fn) -> float:
             continue
         values.append(binary_fn(flags, [row[c] for row in np.asarray(scores)]))
     return sum(values) / len(values)
+
+
+# ---------------------------------------------------------------------------
+# Byte references, unlike the loops above: the three losses composed from the
+# generic autodiff ops, one op per numpy expression. The losses' fused row op
+# must give the same bytes, value and gradients, as these chains.
+# ---------------------------------------------------------------------------
+
+def masked_logsumexp_chain(scores, mask):
+    """Per-row masked log-sum-exp as six generic ops: sub, exp, mul, sum, log, add."""
+    mask = mask.astype(np.float64)
+    empty = mask.sum(axis=1) == 0
+    if empty.any():
+        mask = mask.copy()
+        mask[empty, :] = 1.0
+    shift = np.where(mask > 0, scores.data, -np.inf).max(axis=1, keepdims=True)
+    e = ad.exp(ad.sub(scores, ad.Tensor(np.where(mask > 0, shift, np.inf))))
+    total = ad.sum(ad.mul(e, ad.Tensor(mask)), axis=1)
+    return ad.add(ad.log(total), ad.Tensor(shift[:, 0]))
+
+
+def _picked_chain(scores, onehot):
+    return ad.sum(ad.mul(scores, ad.Tensor(onehot)), axis=1)
+
+
+def unsup_contrastive_chain(zi, zj, tau, denominator="simclr"):
+    n = zi.shape[0]
+    if denominator == "paired_only":
+        a, b = zi, zj
+        pos_mask = np.eye(n)
+    else:
+        a = b = ad.concat([zi, zj], axis=0)
+        idx = np.arange(2 * n)
+        pos_mask = np.zeros((2 * n, 2 * n))
+        pos_mask[idx, (idx + n) % (2 * n)] = 1.0
+    neg_mask = 1.0 - pos_mask
+    np.fill_diagonal(neg_mask, 0.0)
+    sim = ad.mul_scalar(ad.cosine_similarity_matrix(a, b), 1.0 / tau)
+    pos = _picked_chain(sim, pos_mask)
+    return ad.mean(ad.sub(masked_logsumexp_chain(sim, neg_mask), pos))
+
+
+def sup_contrastive_chain(z, labels, tau):
+    labels = np.asarray(labels)
+    same = labels[:, None] == labels[None, :]
+    pos_mask = same.astype(np.float64)
+    np.fill_diagonal(pos_mask, 0.0)
+    neg_mask = (~same).astype(np.float64)
+    valid = (pos_mask.sum(axis=1) > 0) & (neg_mask.sum(axis=1) > 0)
+    sim = ad.mul_scalar(ad.cosine_similarity_matrix(z, z), 1.0 / tau)
+    lse_pos = masked_logsumexp_chain(sim, pos_mask)
+    lse_neg = masked_logsumexp_chain(sim, neg_mask)
+    weights = valid.astype(np.float64) / valid.sum()
+    return ad.sum(ad.mul(ad.sub(lse_neg, lse_pos), ad.Tensor(weights)))
+
+
+def cross_entropy_chain(logits, labels):
+    m, c = logits.shape
+    onehot = np.zeros((m, c))
+    onehot[np.arange(m), labels] = 1.0
+    lse = masked_logsumexp_chain(logits, np.ones((m, c)))
+    return ad.mean(ad.sub(lse, _picked_chain(logits, onehot)))

@@ -362,3 +362,76 @@ def test_full_hybrid_loss_grad_check_on_toy_batch():
 
     err = grad_check(closure, [zi, zj, logits], step=1e-5)
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# the fused row op: the bytes of the generic-op chain, one tape entry per call
+# ---------------------------------------------------------------------------
+
+def value_and_grad_bytes(fn, *arrays):
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        loss = fn(*leaves)
+    tape.backward(loss)
+    return [loss.data.tobytes()] + [t.grad.tobytes() for t in leaves]
+
+
+def far_apart(rng, n, d):
+    """Embeddings in two tight opposite clusters: cosines near +1 and -1."""
+    base = rng.normal(size=d)
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)[:, None]
+    return signs * base + 1e-3 * rng.normal(size=(n, d))
+
+
+@pytest.mark.parametrize("mode", L.DENOMINATOR_MODES)
+@pytest.mark.parametrize("tau", [0.05, 0.5, 1.3])
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_unsup_bytes_equal_the_generic_op_chain(mode, tau, n):
+    rng = np.random.default_rng([n, int(100 * tau), len(mode)])
+    for zi, zj in [(rng.normal(size=(n, 6)), rng.normal(size=(n, 6))),
+                   (far_apart(rng, n, 6), far_apart(rng, n, 6))]:
+        got = value_and_grad_bytes(lambda a, b: L.unsup_contrastive(a, b, tau, mode), zi, zj)
+        want = value_and_grad_bytes(
+            lambda a, b: oracles.unsup_contrastive_chain(a, b, tau, mode), zi, zj)
+        assert got == want
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 0, 1], [0, 0, 0, 1], [0, 0, 1, 2, 2, 1, 3],
+                                    [1, 0, 2, 2, 0, 0, 1, 1, 2]])
+@pytest.mark.parametrize("tau", [0.05, 0.5, 1.3])
+def test_supcon_bytes_equal_the_generic_op_chain_with_empty_rows(labels, tau):
+    # Singleton classes (label 3, or 1 in [0, 0, 0, 1]) give empty positive rows.
+    rng = np.random.default_rng([len(labels), int(100 * tau)])
+    y = np.array(labels)
+    for z in (rng.normal(size=(len(y), 5)), far_apart(rng, len(y), 5)):
+        got = value_and_grad_bytes(lambda a: L.sup_contrastive(a, y, tau), z)
+        want = value_and_grad_bytes(lambda a: oracles.sup_contrastive_chain(a, y, tau), z)
+        assert got == want
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0, 1e3])
+@pytest.mark.parametrize("m, c", [(1, 2), (6, 3), (20, 5)])
+def test_cross_entropy_bytes_equal_the_generic_op_chain(scale, m, c):
+    rng = np.random.default_rng([m, c, int(scale)])
+    logits = scale * rng.normal(size=(m, c))
+    y = rng.integers(0, c, size=m)
+    got = value_and_grad_bytes(lambda a: L.cross_entropy(a, y), logits)
+    want = value_and_grad_bytes(lambda a: oracles.cross_entropy_chain(a, y), logits)
+    assert got == want
+
+
+def tape_entries(fn, *arrays):
+    with Tape() as tape:
+        fn(*[Tensor(a, requires_grad=True) for a in arrays])
+    return len(tape.entries)
+
+
+def test_each_loss_records_one_entry_for_its_rows():
+    # unsup: concat, 2 l2_normalize, transpose, matmul, mul_scalar, row op, mean.
+    # sup: the same similarity without concat, 2 row ops, sub, mul, sum.
+    # cross entropy: row op, mean.
+    rng = np.random.default_rng(4)
+    z = rng.normal(size=(6, 4))
+    assert tape_entries(lambda a, b: L.unsup_contrastive(a, b, 0.5), z, z[::-1]) == 8
+    assert tape_entries(lambda a: L.sup_contrastive(a, [0, 1, 0, 1, 1, 0], 0.5), z) == 10
+    assert tape_entries(lambda a: L.cross_entropy(a, [0, 1, 2, 3, 0, 1]), z) == 2

@@ -15,6 +15,7 @@ from semicl.nn import (
     load_checkpoint,
     save_checkpoint,
 )
+from semicl.optim import SGD
 
 RNG = np.random.default_rng(5)
 
@@ -146,11 +147,12 @@ def test_no_dead_parameters_tiny_scale():
                         feature_channels=3, embed_dim=8)
     model = EncoderClassifier(cfg, num_classes=2, seed=2)
     alive = {name: False for name in model.parameters()}
+    opt = SGD(model.parameters(), lr=1.0)
     for trial in range(4):
         x = np.random.default_rng(trial).normal(size=(6, 2, 16))
         probe_z = Tensor(np.random.default_rng(100 + trial).normal(size=(6, 8)))
         probe_y = Tensor(np.random.default_rng(200 + trial).normal(size=(6, 2)))
-        model.zero_grad()
+        opt.zero_grad()
         with Tape() as tape:
             z = model.encode(x)
             out = ad.add(ad.sum(ad.mul(z, probe_z)), ad.sum(ad.mul(model.classify(z), probe_y)))
@@ -166,11 +168,12 @@ def test_no_dead_parameters_univariate_degenerate_cross():
     model = EncoderClassifier(TINY, num_classes=2, seed=4)
     assert TINY.cross_kernel == 1
     alive = {name: False for name in model.parameters()}
+    opt = SGD(model.parameters(), lr=1.0)
     for trial in range(4):
         x = np.random.default_rng(10 + trial).normal(size=(5, 1, 16))
         probe_z = Tensor(np.random.default_rng(300 + trial).normal(size=(5, 6)))
         probe_y = Tensor(np.random.default_rng(400 + trial).normal(size=(5, 2)))
-        model.zero_grad()
+        opt.zero_grad()
         with Tape() as tape:
             z = model.encode(x)
             out = ad.add(ad.sum(ad.mul(z, probe_z)), ad.sum(ad.mul(model.classify(z), probe_y)))

@@ -3,10 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import REFERENCE_CONFIG
+
 from semicl import losses as L
 from semicl import train as tr
 from semicl.augment import AugmentSpec, make_views
 from semicl.autodiff import Tape, Tensor
+from semicl.config import load_config
 from semicl.data import SplitParams, make_split, zscore_by_train
 from semicl.errors import ConfigError, ContractError, DivergenceError
 from semicl.losses import LossWeights
@@ -433,3 +436,22 @@ def test_ensure_two_classes_swaps_last():
     assert labels[fixed].max() == 1
     already_ok = tr._ensure_two_classes(np.array([0, 3]), labels, order)
     assert np.array_equal(already_ok, [0, 3])
+
+
+def test_reference_step_records_61_tape_entries(monkeypatch):
+    exp = load_config(REFERENCE_CONFIG)
+    cfg = exp.train_config(seed=1)
+    model = EncoderClassifier(exp.encoder_config(1), num_classes=2, seed=1)
+    rng = np.random.default_rng(0)
+    counts = []
+    backward = Tape.backward
+
+    def counting(tape, loss):
+        counts.append(len(tape.entries))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    train_step(model, make_optimizer("adam", model.parameters(), 1e-3), cfg,
+               rng.normal(size=(100, 1, 128)), rng.normal(size=(45, 1, 128)),
+               np.arange(45) % 2)
+    assert counts == [61]
