@@ -8,8 +8,10 @@
 # a remainder, of unsup_contrastive's value and view gradients under both
 # denominators, of auroc_ovr and auprc on heavily tied scores, and of
 # sup_contrastive's and cross_entropy's values and gradients, with singleton
-# classes (empty positive rows) and large logits: mostly paths the commands
-# never take.
+# classes (empty positive rows) and large logits, and of the four columns
+# load_csv reads from hand-made CSVs (values at float64's edges, CRLF and LF
+# line ends, blank lines, quoted ids, two files per manifest, length 1):
+# mostly paths the commands never take.
 #
 #     scripts/bitwise_outputs.sh OUT > digests.txt
 #
@@ -99,10 +101,13 @@ find . -type f ! -name run.log | LC_ALL=C sort | xargs sha256sum
 python3 - <<'EOF'
 import hashlib
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from semicl import autodiff as ad
+from semicl.data import load_csv
 from semicl.losses import cross_entropy, sup_contrastive, unsup_contrastive
 from semicl.metrics import auprc, auroc_ovr
 
@@ -199,4 +204,31 @@ for (m, c), scale in itertools.product(((1, 2), (7, 3)), (1.0, 1e3)):
     tape.backward(loss)
     for key, a in {"loss": loss.data, "dlogits": logits.grad}.items():
         emit(f"cross_entropy/m{m}-c{c}-x{scale:g}/{key}", a)
+
+# Channel rows out of order, a blank line after every other sample, and ids
+# that csv quoting wraps; a.csv ends its lines with CRLF, b.csv with LF.
+AWKWARD = ["1e-05", "-0.0", "5e-324", "1e-300", "-1.2345678901234567e17", " 3.25", "1E+2"]
+
+
+def crafted(length, channels, subjects, end):
+    rows = ["sample_id,subject_id,trial_id,label,channel," + ",".join(f"v{k}" for k in range(length))]
+    for i in range(6):
+        for ch in reversed(range(channels)):
+            values = [AWKWARD[(i + 3 * ch + k) % len(AWKWARD)] for k in range(length)]
+            rows.append(f"n{i},{subjects[i % len(subjects)]},t{i},{i % 3 - 1},{ch}," + ",".join(values))
+        rows += [""] * (i % 2)
+    return end.join(rows) + end
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = Path(tmp)
+    (tmp / "a.csv").write_bytes(crafted(4, 2, ['"s,0"', '"q""1"', "s2"], "\r\n").encode())
+    (tmp / "b.csv").write_bytes(crafted(4, 2, ["s0", "s1"], "\n").encode())
+    (tmp / "c.csv").write_bytes(crafted(1, 1, ["s0"], "\n").encode())
+    (tmp / "two.txt").write_text("a.csv,2,2,4\nb.csv,2,2,4\n")
+    (tmp / "one.txt").write_text("c.csv,2,1,1\n")
+    for name in ("two", "one"):
+        ds = load_csv(tmp / f"{name}.txt")
+        for key in ("values", "labels", "subject_ids", "trial_ids"):
+            emit(f"load_csv/{name}/{key}", getattr(ds, key))
 EOF

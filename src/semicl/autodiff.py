@@ -603,9 +603,12 @@ def avg_pool(x: Tensor, window: int) -> Tensor:
 def grad_check(op_closure, inputs, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    `op_closure(*inputs)` must return a scalar Tensor. The error for each
-    input component is |analytic - numeric| / max(|analytic|, |numeric|, 1e-12)
-    and the max over all components of all inputs is returned.
+    `op_closure(*inputs)` must return a scalar Tensor f. The error for each
+    input component is max(|analytic - numeric| - floor, 0) / max(|analytic|,
+    |numeric|, 1e-12), and the max over all components of all inputs is
+    returned. The central difference divides two evaluations' roundoff, each
+    a few eps * |f|, by 2 * step; floor = 4 * eps * |f| / step discounts that
+    much of each gap, so a component near zero does not read as wrong.
     """
     if not (0.0 < step <= 1e-2):
         raise ContractError(f"grad_check: step must be in (0, 1e-2], got {step}")
@@ -619,6 +622,7 @@ def grad_check(op_closure, inputs, step: float = 1e-5) -> float:
     if not np.isfinite(out.data).all():
         raise NumericError("grad_check: closure produced a non-finite value")
     tape.backward(out)
+    floor = 4.0 * np.finfo(np.float64).eps * abs(float(out.data)) / step
     analytic = [
         t.grad.copy() if t.grad is not None else np.zeros(t.shape) for t in inputs
     ]
@@ -641,5 +645,5 @@ def grad_check(op_closure, inputs, step: float = 1e-5) -> float:
             flat[i] = orig
             numeric = (up - down) / (2.0 * step)
             ref = max(abs(a.reshape(-1)[i]), abs(numeric), 1e-12)
-            worst = max(worst, abs(a.reshape(-1)[i] - numeric) / ref)
+            worst = max(worst, max(abs(a.reshape(-1)[i] - numeric) - floor, 0.0) / ref)
     return worst

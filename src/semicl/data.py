@@ -7,8 +7,13 @@ File formats
 ------------
 Sample CSV: header ``sample_id,subject_id,trial_id,label,channel,v0,...,v{L-1}``
 with one row per channel; ``label`` is an integer class id or -1 for
-unlabeled. Values are decimal doubles and round-trip bit-exactly (written with
-``repr``); a non-finite value is a parse error. Manifest: plain-text lines
+unlabeled. A value is an ASCII decimal double: an optional sign, digits with
+an optional point, an optional exponent, and whitespace around it if any. It
+round-trips bit-exactly (written with ``repr``). Underscores, non-ASCII digits
+and line breaks inside a value are parse errors, as is a non-finite value
+(``inf``, ``nan``, ``1e999``). Fields are quoted as `csv` quotes them: a field
+holding a comma, a double quote or a line break sits in double quotes, with
+its own double quotes doubled. Manifest: plain-text lines
 ``path,num_classes,channels,length`` where ``path`` is resolved relative to
 the manifest's directory; all lines agree on the last three fields, and
 channels and length are at least 1.
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -137,8 +143,11 @@ def _expected_header(length: int) -> list[str]:
 def load_csv(manifest_path) -> SemiLabeledDataset:
     """Load a dataset from a manifest of per-sample CSV files.
 
-    Rows are parsed straight into one (N, channels, length) array, allocated
-    up front for as many samples as the files' newlines and sizes can hold.
+    Rows are checked in file order and stored straight into one (N, channels,
+    length) array, allocated up front for as many samples as the files'
+    newlines and sizes can hold. Values are parsed `BLOCK_ROWS` rows at a time
+    by one `np.loadtxt` call; a block holding a faulty row is parsed again one
+    row at a time, so the error names the first faulty line.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -180,34 +189,34 @@ def load_csv(manifest_path) -> SemiLabeledDataset:
     n = 0
     for path in paths:
         ids: dict[str, int] = {}
-        for ln, row in _data_rows(path, length):
-            if len(row) != 5 + length:
-                raise ParseError(f"{path}:{ln}: expected {5 + length} fields, got {len(row)}")
-            sample_id, subject_id, trial_id, label_s, channel_s = row[:5]
-            try:
-                label = int(label_s)
-                channel = int(channel_s)
-                row_values = np.array(row[5:], dtype=np.float64)
-            except ValueError as e:
-                raise ParseError(f"{path}:{ln}: {e}") from e
-            if not np.isfinite(row_values).all():
-                raise ParseError(f"{path}:{ln}: non-finite sample value")
-            if label != UNLABELED and not (0 <= label < num_classes):
-                raise LabelError(f"{path}:{ln}: label {label} outside [0, {num_classes})")
-            if not (0 <= channel < channels):
-                raise SchemaError(f"{path}:{ln}: channel {channel} outside [0, {channels})")
-            i = ids.setdefault(sample_id, n + len(ids))
-            if i == capacity:
-                raise SchemaError(f"{path}:{ln}: more samples than rows for {channels} channels "
-                                  "each; some sample is missing channel rows")
-            if not seen[i].any():
-                subjects[i], trials[i], labels[i] = subject_id, trial_id, label
-            elif (subjects[i], trials[i], labels[i]) != (subject_id, trial_id, label):
-                raise SchemaError(f"{path}:{ln}: rows of sample {sample_id} disagree on metadata")
-            elif seen[i, channel]:
-                raise SchemaError(f"{path}:{ln}: duplicate channel {channel} for sample {sample_id}")
-            values[i, channel] = row_values
-            seen[i, channel] = True
+        for block in _data_blocks(path, length):
+            block_values = _block_values([fields for _, fields, _ in block], length)
+            for k, (ln, fields, quoted) in enumerate(block):
+                try:
+                    if block_values is None:
+                        label, channel, row_values = _parse_row(fields, quoted, length)
+                    else:
+                        label, channel, row_values = int(fields[3]), int(fields[4]), block_values[k]
+                except ValueError as e:
+                    raise ParseError(f"{path}:{ln}: {e}") from e
+                sample_id, subject_id, trial_id = fields[:3]
+                if label != UNLABELED and not (0 <= label < num_classes):
+                    raise LabelError(f"{path}:{ln}: label {label} outside [0, {num_classes})")
+                if not (0 <= channel < channels):
+                    raise SchemaError(f"{path}:{ln}: channel {channel} outside [0, {channels})")
+                i = ids.get(sample_id)
+                if i is None:  # the sample's first row
+                    i = ids[sample_id] = n + len(ids)
+                    if i == capacity:
+                        raise SchemaError(f"{path}:{ln}: more samples than rows for {channels} "
+                                          "channels each; some sample is missing channel rows")
+                    subjects[i], trials[i], labels[i] = subject_id, trial_id, label
+                elif (subjects[i], trials[i], labels[i]) != (subject_id, trial_id, label):
+                    raise SchemaError(f"{path}:{ln}: rows of sample {sample_id} disagree on metadata")
+                elif seen[i, channel]:
+                    raise SchemaError(f"{path}:{ln}: duplicate channel {channel} for sample {sample_id}")
+                values[i, channel] = row_values
+                seen[i, channel] = True
         if not ids:
             raise DataError(f"{path}: no data rows")
         missing = np.flatnonzero(~seen[n: n + len(ids)].all(axis=1))
@@ -222,21 +231,91 @@ def _count_newlines(path: Path) -> int:
         return sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 20), b""))
 
 
-def _data_rows(path: Path, length: int):
-    """(line number, fields) of each non-empty row after a header checked against `length`."""
+# Rows whose values one np.loadtxt call parses. From 16 rows on, the call's
+# overhead is within 3% of the parse; larger blocks only hold more text and
+# values at once, which raised the peak memory of a whole `semicl eval`.
+BLOCK_ROWS = 16
+_BLANK = ("", "\n", "\r\n", "\r")
+
+
+def _data_blocks(path: Path, length: int):
+    """Lists of up to BLOCK_ROWS data rows after a header checked against `length`.
+
+    Rows are numbered and split as `csv.reader` numbers and splits them, and
+    blank rows are skipped. A row is (line number, fields, quoted): ``fields``
+    is the first five fields, then the values' text, comma-separated. A line
+    without a double quote is split only up to its values (fewer fields for a
+    short row), whose text keeps the line end. For a line with one,
+    ``quoted`` is the value fields as `csv.reader` split them, else None.
+    """
+    block = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None:
                 raise DataError(f"{path}: empty file")
             if len(header) != 5 + length or header != _expected_header(length):
                 raise SchemaError(f"{path}: header does not match the sample schema for length {length}")
-            for ln, row in enumerate(reader, start=2):
-                if row:
-                    yield ln, row
+            for ln, line in enumerate(fh, start=2):
+                if line in _BLANK:
+                    continue
+                if '"' in line:  # csv.reader's split, through any quoted line breaks
+                    row = next(csv.reader(itertools.chain([line], fh)))
+                    block.append((ln, row[:5] + [",".join(row[5:])], row[5:]))
+                else:
+                    block.append((ln, line.split(",", 5), None))
+                if len(block) == BLOCK_ROWS:
+                    yield block
+                    block = []
         except UnicodeDecodeError as e:
+            if block:  # the rows before the undecodable text are checked first
+                yield block
             raise ParseError(f"{path}: not UTF-8 text ({e})") from e
+    if block:
+        yield block
+
+
+def _block_values(rows_fields: list[list[str]], length: int):
+    """The rows' (rows, length) values from one np.loadtxt call, or None if a row needs its own.
+
+    None also when a value is not finite, so that `_parse_row` names its line.
+    """
+    texts = []
+    for fields in rows_fields:
+        text = fields[-1]
+        # np.loadtxt skips a blank line, and these separators around a number;
+        # float() does neither.
+        if (len(fields) != 6 or text in _BLANK or "\x1c" in text or "\x1d" in text
+                or "\x1e" in text or "\x1f" in text):
+            return None
+        texts.append(text)
+    try:
+        values = np.loadtxt(texts, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    ok = values.shape == (len(texts), length) and np.isfinite(values).all()
+    return values if ok else None
+
+
+def _parse_row(fields: list[str], quoted, length: int) -> tuple[int, int, np.ndarray]:
+    """One row's (label, channel, values), parsed on its own.
+
+    ValueError names the first fault, checked in this order: the field count,
+    a label or channel that is not an integer, a value float() rejects, a
+    non-finite value, a value outside the decimal syntax.
+    """
+    value_fields = quoted if quoted is not None else fields[-1].rstrip("\r\n").split(",")
+    nfields = len(fields) - 1 + len(value_fields)
+    if nfields != 5 + length:
+        raise ValueError(f"expected {5 + length} fields, got {nfields}")
+    label, channel = int(fields[3]), int(fields[4])
+    values = np.array(value_fields, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite sample value")
+    if _block_values([fields], length) is None:
+        raise ValueError("a value is outside the decimal syntax (ASCII digits, sign, point, "
+                         "exponent)")
+    return label, channel, values
 
 
 def write_csv(dataset: SemiLabeledDataset, csv_path, manifest_path=None) -> None:
@@ -390,6 +469,7 @@ def zscore_by_train(dataset: SemiLabeledDataset, plan: SplitPlan) -> SemiLabeled
     train_values = np.concatenate(dataset.values[list(plan.train_indices)], axis=1)
     mean = train_values.mean(axis=1, keepdims=True)
     std = train_values.std(axis=1, keepdims=True)
+    del train_values  # its heap space then takes the normalized copy below
     std = np.where(std > 0.0, std, 1.0)
     values = dataset.values - mean
     values /= std

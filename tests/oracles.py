@@ -5,11 +5,15 @@ loops over the mathematical definitions, deliberately sharing no code with the
 implementation under test.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
 from semicl import autodiff as ad
+from semicl.data import UNLABELED, SemiLabeledDataset, _count_newlines, _expected_header
+from semicl.errors import DataError, LabelError, ParseError, SchemaError
 
 
 def cosine(a, b) -> float:
@@ -336,3 +340,106 @@ def cross_entropy_chain(logits, labels):
     onehot[np.arange(m), labels] = 1.0
     lse = masked_logsumexp_chain(logits, np.ones((m, c)))
     return ad.mean(ad.sub(lse, _picked_chain(logits, onehot)))
+
+
+# ---------------------------------------------------------------------------
+# Byte reference for CSV ingestion: the row-wise loader that block parsing
+# replaced. `load_csv` must give the same columns, or the same error class
+# naming the same line.
+# ---------------------------------------------------------------------------
+
+def load_csv_rowwise(manifest_path) -> SemiLabeledDataset:
+    """`semicl.data.load_csv` as it was before block parsing: each row split by
+    `csv.reader` and its values converted by one `np.array` call."""
+    manifest_path = Path(manifest_path)
+    base = manifest_path.parent
+    try:
+        lines = manifest_path.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{manifest_path}: not UTF-8 text ({e})") from e
+    entries = []
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise SchemaError(f"{manifest_path}:{ln}: manifest line needs path,num_classes,channels,length")
+        try:
+            entries.append((parts[0], int(parts[1]), int(parts[2]), int(parts[3])))
+        except ValueError as e:
+            raise SchemaError(f"{manifest_path}:{ln}: {e}") from e
+    if not entries:
+        raise DataError(f"{manifest_path}: empty manifest")
+    _, num_classes, channels, length = entries[0]
+    if channels < 1 or length < 1 or any(e[1:] != (num_classes, channels, length) for e in entries):
+        raise SchemaError(f"{manifest_path}: entries need channels >= 1, length >= 1 and one "
+                          "num_classes/channels/length")
+
+    paths = [base / e[0] for e in entries]
+    # A data row follows a newline and holds `length` values with a comma
+    # before each, so 2 * length bytes; a complete sample takes `channels` rows.
+    rows = sum(min(_count_newlines(path), path.stat().st_size // (2 * length)) for path in paths)
+    capacity = rows // channels
+    if capacity < 1:
+        raise SchemaError(f"{manifest_path}: the files are too short to hold one sample of "
+                          f"{channels} channels x {length} values")
+    values = np.empty((capacity, channels, length), dtype=np.float64)
+    labels = np.empty(capacity, dtype=np.int64)
+    subjects, trials = [""] * capacity, [""] * capacity
+    seen = np.zeros((capacity, channels), dtype=bool)
+    n = 0
+    for path in paths:
+        ids: dict[str, int] = {}
+        for ln, row in _data_rows(path, length):
+            if len(row) != 5 + length:
+                raise ParseError(f"{path}:{ln}: expected {5 + length} fields, got {len(row)}")
+            sample_id, subject_id, trial_id, label_s, channel_s = row[:5]
+            try:
+                label = int(label_s)
+                channel = int(channel_s)
+                row_values = np.array(row[5:], dtype=np.float64)
+            except ValueError as e:
+                raise ParseError(f"{path}:{ln}: {e}") from e
+            if not np.isfinite(row_values).all():
+                raise ParseError(f"{path}:{ln}: non-finite sample value")
+            if label != UNLABELED and not (0 <= label < num_classes):
+                raise LabelError(f"{path}:{ln}: label {label} outside [0, {num_classes})")
+            if not (0 <= channel < channels):
+                raise SchemaError(f"{path}:{ln}: channel {channel} outside [0, {channels})")
+            i = ids.setdefault(sample_id, n + len(ids))
+            if i == capacity:
+                raise SchemaError(f"{path}:{ln}: more samples than rows for {channels} channels "
+                                  "each; some sample is missing channel rows")
+            if not seen[i].any():
+                subjects[i], trials[i], labels[i] = subject_id, trial_id, label
+            elif (subjects[i], trials[i], labels[i]) != (subject_id, trial_id, label):
+                raise SchemaError(f"{path}:{ln}: rows of sample {sample_id} disagree on metadata")
+            elif seen[i, channel]:
+                raise SchemaError(f"{path}:{ln}: duplicate channel {channel} for sample {sample_id}")
+            values[i, channel] = row_values
+            seen[i, channel] = True
+        if not ids:
+            raise DataError(f"{path}: no data rows")
+        missing = np.flatnonzero(~seen[n: n + len(ids)].all(axis=1))
+        if missing.size:
+            raise SchemaError(f"{path}: sample {list(ids)[missing[0]]} is missing channel rows")
+        n += len(ids)
+    return SemiLabeledDataset(values[:n], labels[:n], subjects[:n], trials[:n], num_classes)
+
+
+def _data_rows(path: Path, length: int):
+    """(line number, fields) of each non-empty row after a header checked against `length`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            if len(header) != 5 + length or header != _expected_header(length):
+                raise SchemaError(f"{path}: header does not match the sample schema for length {length}")
+            for ln, row in enumerate(reader, start=2):
+                if row:
+                    yield ln, row
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e})") from e

@@ -456,6 +456,24 @@ def test_grad_check_relu_away_from_zero():
     assert err < 1e-6
 
 
+def test_grad_check_discounts_roundoff_but_not_a_wrong_tiny_gradient():
+    # f = 1 + 1e-8 * sum(x): the roundoff of f over 2 * step is about a
+    # thousandth of each 1e-8 gradient component.
+    x = Tensor(np.array([0.3, -1.7, 2.2, 0.9]), requires_grad=True)
+    offset = Tensor(np.full(4, 0.25))
+
+    def loss(claimed_slope):
+        def closure(v):
+            scaled = ad._apply(v.data * 1e-8, (v,), lambda g: (g * claimed_slope,))
+            return ad.sum(ad.add(scaled, offset))
+        return closure
+
+    assert grad_check(loss(1e-8), [x]) < 1e-4
+    assert grad_check(loss(1.01e-8), [x]) > 1e-4
+    assert grad_check(loss(2e-8), [x]) > 0.4
+    assert grad_check(loss(0.0), [x]) > 0.9
+
+
 def test_grad_check_rejects_bad_step():
     x = t((3,))
     with pytest.raises(ContractError):

@@ -211,6 +211,67 @@ def test_samples_missing_channels_beyond_row_capacity_rejected(tmp_path):
         load_csv(tmp_path / "manifest.txt")
 
 
+def test_ids_that_need_quotes_round_trip(tmp_path):
+    ids = ["a,b", 'say "hi"', "two\nlines", "cr\rid", "crlf\r\nid", "plain"]
+    ds = SemiLabeledDataset(RNG.normal(size=(6, 2, 3)), np.arange(6) % 2, ids, ids[::-1], 2)
+    write_csv(ds, tmp_path / "data.csv", tmp_path / "manifest.txt")
+    loaded = load_csv(tmp_path / "manifest.txt")
+    assert loaded.subject_ids.tolist() == ids and loaded.trial_ids.tolist() == ids[::-1]
+    assert loaded.values.tobytes() == ds.values.tobytes()
+
+
+@pytest.mark.parametrize("value,message", [
+    ("1_0", "outside the decimal syntax"),        # float() reads 10.0
+    ("\u0661", "outside the decimal syntax"),   # an Arabic-Indic digit one
+    ('"1.0\r"', "outside the decimal syntax"),    # a quoted line break
+    ("1.0\x1c", "could not convert"),             # np.loadtxt alone reads it as space
+    ('"1,5"', "could not convert"),               # a quoted decimal comma
+])
+def test_value_outside_the_decimal_syntax_names_its_line(tmp_path, value, message):
+    (tmp_path / "data.csv").write_text(
+        "sample_id,subject_id,trial_id,label,channel,v0,v1\n"
+        "n0,s0,t0,0,0,1.0,2.0\n"
+        f"n1,s0,t1,1,0,{value},2.0\n", newline=""
+    )
+    (tmp_path / "manifest.txt").write_text("data.csv,2,1,2\n")
+    with pytest.raises(ParseError, match=f":3: .*{message}"):
+        load_csv(tmp_path / "manifest.txt")
+
+
+FAULTS = {
+    "label": ("n9,s0,t9,7,0,1.0,2.0", LabelError),
+    "value": ("n9,s0,t9,1,0,1.0,x", ParseError),
+    "fields": ("n9,s0,t9,1,0,1.0", ParseError),
+    "channel": ("n9,s0,t9,1,3,1.0,2.0", SchemaError),
+}
+
+
+@pytest.mark.parametrize("first,second", [("label", "value"), ("value", "label"),
+                                          ("fields", "channel"), ("channel", "fields")])
+@pytest.mark.parametrize("gap", [0, 40])
+def test_first_of_several_faults_is_reported(tmp_path, first, second, gap):
+    good = [f"n{i},s0,t{i},0,0,1.0,2.0" for i in range(gap)]
+    rows = good + [FAULTS[first][0]] + good[:1] + [FAULTS[second][0]]
+    (tmp_path / "data.csv").write_text(
+        "sample_id,subject_id,trial_id,label,channel,v0,v1\n" + "\n".join(rows) + "\n")
+    (tmp_path / "manifest.txt").write_text("data.csv,2,1,2\n")
+    with pytest.raises(FAULTS[first][1], match=f":{gap + 2}: "):
+        load_csv(tmp_path / "manifest.txt")
+
+
+def test_fault_before_undecodable_text_is_reported_first(tmp_path):
+    rows = ["n0,s0,t0,5,0,1.0,2.0"] + [f"n{i},s0,t{i},0,0,1.0,2.0" for i in range(1, 2000)]
+    text = "sample_id,subject_id,trial_id,label,channel,v0,v1\n" + "\n".join(rows) + "\n"
+    (tmp_path / "data.csv").write_bytes(text.encode() + b"n2000,s0,\xff,0,0,1.0,2.0\n")
+    (tmp_path / "manifest.txt").write_text("data.csv,2,1,2\n")
+    with pytest.raises(LabelError, match=":2: "):
+        load_csv(tmp_path / "manifest.txt")
+    (tmp_path / "data.csv").write_bytes(text.replace(",5,", ",1,").encode()
+                                        + b"n2000,s0,\xff,0,0,1.0,2.0\n")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        load_csv(tmp_path / "manifest.txt")
+
+
 # ---------------------------------------------------------------------------
 # label ratio
 # ---------------------------------------------------------------------------
