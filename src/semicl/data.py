@@ -247,8 +247,10 @@ def _data_blocks(path: Path, length: int):
     without a double quote is split only up to its values (fewer fields for a
     short row), whose text keeps the line end. For a line with one,
     ``quoted`` is the value fields as `csv.reader` split them, else None.
+    Text that is not UTF-8, or that `csv.reader` rejects (say, a field over its
+    size limit), is a ParseError raised after the rows before it are yielded.
     """
-    block = []
+    block, ln = [], 1
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             header = next(csv.reader(fh), None)
@@ -267,10 +269,12 @@ def _data_blocks(path: Path, length: int):
                 if len(block) == BLOCK_ROWS:
                     yield block
                     block = []
-        except UnicodeDecodeError as e:
-            if block:  # the rows before the undecodable text are checked first
+        except (UnicodeDecodeError, csv.Error) as e:
+            if block:  # the rows before the faulty text are checked first
                 yield block
-            raise ParseError(f"{path}: not UTF-8 text ({e})") from e
+            if isinstance(e, UnicodeDecodeError):
+                raise ParseError(f"{path}: not UTF-8 text ({e})") from e
+            raise ParseError(f"{path}:{ln}: {e}") from e
     if block:
         yield block
 
@@ -383,22 +387,21 @@ def hide_train_labels(dataset: SemiLabeledDataset, plan: SplitPlan, ratio: float
     return replace(dataset, labels=labels, label_ratio=ratio)
 
 
+def _index_hash(*index_lists) -> str:
+    """First 16 hex digits of the sha256 of the lists, comma-joined, then joined by "|"."""
+    blob = "|".join(",".join(str(i) for i in indices) for indices in index_lists)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
 def labeled_subset_hash(dataset: SemiLabeledDataset, plan: SplitPlan) -> str:
     """Stable hash of which train samples are labeled (fairness audits)."""
     train = np.array(plan.train_indices, dtype=np.int64)
-    visible = np.sort(train[dataset.labels[train] != UNLABELED])
-    blob = ",".join(str(i) for i in visible.tolist()).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return _index_hash(np.sort(train[dataset.labels[train] != UNLABELED]).tolist())
 
 
 def split_plan_hash(plan: SplitPlan) -> str:
     """Stable hash of the train/test membership of a split plan."""
-    blob = (
-        ",".join(str(i) for i in plan.train_indices)
-        + "|"
-        + ",".join(str(i) for i in plan.test_indices)
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return _index_hash(plan.train_indices, plan.test_indices)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ evaluate on the test split. `train`, `ablate` and `compare-regimes` each
 describe a list of cells; one grid loop runs every cell for every seed and
 prepares each (seed, ratio) dataset once. All output files are reproducible
 byte-for-byte from (config, seed): timestamped notes go to a separate run.log
-sidecar, and every float is written with repr.
+sidecar, and every table is written by `_write_table`, every float with repr.
 """
 
 from __future__ import annotations
@@ -20,19 +20,17 @@ from .config import ExperimentConfig
 from .data import (hide_train_labels, labeled_subset_hash, make_split, split_plan_hash,
                    write_csv, zscore_by_train)
 from .errors import ConfigError
-from .metrics import METRIC_NAMES, EvalReport
+from .metrics import METRIC_NAMES, mean_std
 from .nn import EncoderClassifier, EncoderConfig, load_checkpoint, save_checkpoint
 from .train import REGIMES, TrainTrace, evaluate, fit
 
 logger = logging.getLogger(__name__)
 
+TRACE_HEADER = ("epoch", "L_u", "L_s", "L_c", "hybrid", *(f"val_{m}" for m in METRIC_NAMES))
+
 
 def _fmt(v) -> str:
     return repr(float(v)) if isinstance(v, float) else str(v)
-
-
-def _metric_cells(metrics: dict[str, float]) -> str:
-    return ",".join(_fmt(metrics[m]) for m in METRIC_NAMES)
 
 
 @dataclass
@@ -112,50 +110,54 @@ def _run_grid(exp: ExperimentConfig, cells: list[tuple[str, str, float]],
 # report writers
 # ---------------------------------------------------------------------------
 
-def write_report_csv(path, rows: list[tuple[str, dict[str, float]]]) -> None:
-    """Rows of (label, metric dict) -> CSV with one metric column per name."""
-    lines = ["seed," + ",".join(METRIC_NAMES)]
-    lines += [label + "," + _metric_cells(metrics) for label, metrics in rows]
+def _write_table(path, header, rows) -> None:
+    """A CSV file of the header's and each row's values, each value written by `_fmt`."""
+    lines = [",".join(map(_fmt, row)) for row in [header, *rows]]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _report(runs: list[RunResult]) -> EvalReport:
-    report = EvalReport()
-    for r in runs:
-        report.add(r.metrics)
-    return report
+def _write_trace(path, trace: TrainTrace) -> None:
+    """One row per epoch: the four losses, then the evaluation metrics."""
+    _write_table(path, TRACE_HEADER, [
+        (r.epoch, r.loss_u, r.loss_s, r.loss_c, r.hybrid, *(r.val[m] for m in METRIC_NAMES))
+        for r in trace.records])
 
 
-def _write_grid(out_dir: Path, stem: str, grid: list[list[RunResult]], key_cols: str,
-                key, hash_cols: str) -> None:
+def write_report_csv(path, rows: list[tuple[str | int, dict[str, float]]]) -> None:
+    """Rows of (label, metric dict) -> CSV with one metric column per name."""
+    _write_table(path, ("seed", *METRIC_NAMES),
+                 [(label, *(metrics[m] for m in METRIC_NAMES)) for label, metrics in rows])
+
+
+def _write_grid(out_dir: Path, stem: str, grid: list[list[RunResult]],
+                key_cols: tuple[str, ...], key, hash_cols: tuple[str, ...]) -> None:
     """`<stem>.csv`, one row per run, and `<stem>_summary.csv`, mean and std per cell."""
-    lines = [f"{key_cols},seed,{','.join(METRIC_NAMES)},{hash_cols}"]
-    summary = [f"{key_cols},stat,{','.join(METRIC_NAMES)}"]
+    rows, summary = [], []
     for runs in grid:
-        for r in runs:
-            hashes = ",".join(getattr(r, h) for h in hash_cols.split(","))
-            lines.append(f"{key(r)},{r.seed},{_metric_cells(r.metrics)},{hashes}")
-        report = _report(runs)
-        summary += [f"{key(runs[0])},{stat},{_metric_cells(getattr(report, stat)())}"
-                    for stat in ("mean", "std")]
-    (out_dir / f"{stem}.csv").write_text("\n".join(lines) + "\n")
-    (out_dir / f"{stem}_summary.csv").write_text("\n".join(summary) + "\n")
+        rows += [(*key(r), r.seed, *(r.metrics[m] for m in METRIC_NAMES),
+                  *(getattr(r, h) for h in hash_cols)) for r in runs]
+        summary += [(*key(runs[0]), stat, *(metrics[m] for m in METRIC_NAMES))
+                    for stat, metrics in mean_std([r.metrics for r in runs]).items()]
+    _write_table(out_dir / f"{stem}.csv", (*key_cols, "seed", *METRIC_NAMES, *hash_cols), rows)
+    _write_table(out_dir / f"{stem}_summary.csv", (*key_cols, "stat", *METRIC_NAMES), summary)
 
 
 class RunLog:
-    """Sidecar log for timestamps and notes, kept out of deterministic files."""
+    """Sidecar log for timestamps and notes, kept out of deterministic files.
+
+    Each note is appended to run.log as it is made, so a run that stops
+    part-way keeps the notes of the cells it finished.
+    """
 
     def __init__(self, out_dir: Path):
         out_dir.mkdir(parents=True, exist_ok=True)
         self.path = out_dir / "run.log"
-        self.lines: list[str] = []
+        self.path.write_text("")
 
     def note(self, msg: str) -> None:
-        self.lines.append(f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] {msg}")
+        with open(self.path, "a") as fh:
+            fh.write(f"[{time.strftime('%Y-%m-%d %H:%M:%S')}] {msg}\n")
         logger.info(msg)
-
-    def flush(self) -> None:
-        self.path.write_text("\n".join(self.lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +170,15 @@ def cmd_train(exp: ExperimentConfig, out_dir, seeds: list[int]) -> None:
     cell = (exp["train.regime"], exp["train.ablation"], exp["data.label_ratio"])
     [runs] = _run_grid(exp, [cell], seeds, log)
     for r in runs:
-        r.trace.to_csv(out_dir / f"trace_seed{r.seed}.csv")
+        _write_trace(out_dir / f"trace_seed{r.seed}.csv", r.trace)
         save_checkpoint(r.model, out_dir / f"model_seed{r.seed}.ckpt")
     # Canonical single-run artifact names point at the first seed.
-    runs[0].trace.to_csv(out_dir / "trace.csv")
+    _write_trace(out_dir / "trace.csv", runs[0].trace)
     save_checkpoint(runs[0].model, out_dir / "model.ckpt")
-    report = _report(runs)
-    write_report_csv(out_dir / "report.csv", [(str(r.seed), r.metrics) for r in runs]
-                     + [("mean", report.mean()), ("std", report.std())])
+    summary = mean_std([r.metrics for r in runs])
+    write_report_csv(out_dir / "report.csv", [(r.seed, r.metrics) for r in runs]
+                     + [("mean", summary["mean"]), ("std", summary["std"])])
     log.note(f"wrote report for {len(runs)} seed(s) to {out_dir / 'report.csv'}")
-    log.flush()
 
 
 def cmd_eval(exp: ExperimentConfig, out_dir, seed: int, model_path) -> None:
@@ -191,7 +192,7 @@ def cmd_eval(exp: ExperimentConfig, out_dir, seed: int, model_path) -> None:
                           f"the dataset has {(dataset.channels, dataset.num_classes)}")
     _check_length(model.config, dataset, f"checkpoint {model_path}")
     metrics = evaluate(model, zscore_by_train(dataset, plan), plan.test_indices)
-    write_report_csv(out_dir / "report.csv", [(str(seed), metrics)])
+    write_report_csv(out_dir / "report.csv", [(seed, metrics)])
 
 
 def cmd_ablate(exp: ExperimentConfig, out_dir, seeds: list[int],
@@ -203,10 +204,9 @@ def cmd_ablate(exp: ExperimentConfig, out_dir, seeds: list[int],
         modes.append(("two_stage", "two_stage_with_Ls"))
     cells = [(regime, ablation, exp["data.label_ratio"]) for regime, ablation in modes]
     grid = _run_grid(exp, cells, seeds, log)
-    _write_grid(out_dir, "ablation", grid, "ablation", lambda r: r.ablation,
-                "split_hash,labeled_hash")
+    _write_grid(out_dir, "ablation", grid, ("ablation",), lambda r: (r.ablation,),
+                ("split_hash", "labeled_hash"))
     log.note("ablation table written")
-    log.flush()
 
 
 def cmd_compare_regimes(exp: ExperimentConfig, out_dir, seeds: list[int],
@@ -215,10 +215,9 @@ def cmd_compare_regimes(exp: ExperimentConfig, out_dir, seeds: list[int],
     log = RunLog(out_dir)
     cells = [(regime, "full", ratio) for ratio in ratios for regime in REGIMES]
     grid = _run_grid(exp, cells, seeds, log)
-    _write_grid(out_dir, "compare", grid, "ratio,regime",
-                lambda r: f"{_fmt(r.label_ratio)},{r.regime}", "labeled_hash")
+    _write_grid(out_dir, "compare", grid, ("ratio", "regime"),
+                lambda r: (r.label_ratio, r.regime), ("labeled_hash",))
     log.note("regime comparison written")
-    log.flush()
 
 
 def cmd_synth_gen(exp: ExperimentConfig, out_dir, seed: int) -> None:

@@ -12,7 +12,6 @@ zero negatives are skipped; if every class is skipped the input is degenerate.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,23 +129,9 @@ def compute_all(y_true, y_pred, scores, num_classes: int) -> dict[str, float]:
     return out
 
 
-@dataclass
-class EvalReport:
-    """Per-run metric values plus mean and population std across runs."""
-
-    runs: list[dict[str, float]] = field(default_factory=list)
-
-    def add(self, metrics: dict[str, float]) -> None:
-        self.runs.append({k: float(metrics[k]) for k in METRIC_NAMES})
-
-    def mean(self) -> dict[str, float]:
-        self._require_runs()
-        return {k: float(np.mean([r[k] for r in self.runs])) for k in METRIC_NAMES}
-
-    def std(self) -> dict[str, float]:
-        self._require_runs()
-        return {k: float(np.std([r[k] for r in self.runs])) for k in METRIC_NAMES}
-
-    def _require_runs(self) -> None:
-        if not self.runs:
-            raise ContractError("report has no runs")
+def mean_std(runs: list[dict[str, float]]) -> dict[str, dict[str, float]]:
+    """Each metric's mean and population std across runs, as {"mean": ..., "std": ...}."""
+    if not runs:
+        raise ContractError("no runs to summarize")
+    return {"mean": {k: float(np.mean([r[k] for r in runs])) for k in METRIC_NAMES},
+            "std": {k: float(np.std([r[k] for r in runs])) for k in METRIC_NAMES}}

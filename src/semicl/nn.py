@@ -196,9 +196,9 @@ class EncoderClassifier:
 # checkpointing
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(model: EncoderClassifier, path) -> None:
-    """Write a bit-exact checkpoint: text header + raw float64 parameter data."""
-    cfg = model.config
+def _checkpoint_header(cfg: EncoderConfig, num_classes: int) -> bytes:
+    """The text header of a checkpoint, through its DATA line: architecture, then tensor shapes."""
+    specs = _param_specs(cfg, num_classes)
     lines = [
         CHECKPOINT_MAGIC,
         f"in_channels={cfg.in_channels}",
@@ -206,39 +206,39 @@ def save_checkpoint(model: EncoderClassifier, path) -> None:
         "dilations=" + ",".join(str(d) for d in cfg.dilations),
         f"feature_channels={cfg.feature_channels}",
         f"embed_dim={cfg.embed_dim}",
-        f"num_classes={model.num_classes}",
-        f"tensors={len(model._params)}",
+        f"num_classes={num_classes}",
+        f"tensors={len(specs)}",
     ]
-    for name, t in model._params.items():
-        lines.append(name + " " + " ".join(str(d) for d in t.shape))
-    lines.append("DATA")
+    lines += [name + " " + " ".join(str(d) for d in shape) for name, shape, _ in specs]
+    return ("\n".join(lines) + "\nDATA\n").encode("ascii")
+
+
+def save_checkpoint(model: EncoderClassifier, path) -> None:
+    """Write a bit-exact checkpoint: text header + raw float64 parameter data."""
     with open(path, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(_checkpoint_header(model.config, model.num_classes))
         for t in model._params.values():
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> EncoderClassifier:
-    """Rebuild a model from `save_checkpoint` output, bit-exactly."""
+    """Rebuild a model from `save_checkpoint` output, bit-exactly.
+
+    The architecture comes from the header's key=value fields; the header must
+    then be, byte for byte, the one `save_checkpoint` writes for it.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    marker = b"DATA\n"
-    cut = blob.find(marker)
-    if cut < 0:
+    head, marker, payload = blob.partition(b"DATA\n")
+    if not marker:
         raise SchemaError(f"checkpoint {path}: missing DATA marker")
     try:
-        header = blob[:cut].decode("ascii").splitlines()
+        lines = head.decode("ascii").splitlines()
     except UnicodeDecodeError as e:
         raise SchemaError(f"checkpoint {path}: header is not ASCII ({e})") from e
-    payload = blob[cut + len(marker):]
-    if not header or header[0] != CHECKPOINT_MAGIC:
+    if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise SchemaError(f"checkpoint {path}: bad magic line")
-    fields = {}
-    idx = 1
-    while idx < len(header) and "=" in header[idx]:
-        key, val = header[idx].split("=", 1)
-        fields[key] = val
-        idx += 1
+    fields = dict(line.split("=", 1) for line in lines[1:] if "=" in line)
     try:
         cfg = EncoderConfig(
             in_channels=int(fields["in_channels"]),
@@ -248,22 +248,13 @@ def load_checkpoint(path) -> EncoderClassifier:
             embed_dim=int(fields["embed_dim"]),
         )
         num_classes = int(fields["num_classes"])
-        count = int(fields["tensors"])
     except (KeyError, ValueError) as e:
         raise SchemaError(f"checkpoint {path}: bad header field ({e})") from e
-    try:
-        specs = [(parts[0], tuple(int(d) for d in parts[1:]))
-                 for parts in map(str.split, header[idx:])]
-    except (IndexError, ValueError) as e:
-        raise SchemaError(f"checkpoint {path}: bad tensor line ({e})") from e
-    if len(specs) != count:
-        raise SchemaError(f"checkpoint {path}: expected {count} tensors, header lists {len(specs)}")
-
-    # Validate against the architecture's shapes before allocating any parameter.
-    shapes = [(name, shape) for name, shape, _ in _param_specs(cfg, num_classes)]
-    if specs != shapes:
-        raise SchemaError(f"checkpoint {path}: tensor names or shapes do not match this architecture")
-    expected = 8 * sum(math.prod(shape) for _, shape in shapes)
+    # Validate against the architecture's header before allocating any parameter.
+    if head + marker != _checkpoint_header(cfg, num_classes):
+        raise SchemaError(f"checkpoint {path}: header is not the one written for its "
+                          "architecture (tensor names, shapes, counts or line order differ)")
+    expected = 8 * sum(math.prod(shape) for _, shape, _ in _param_specs(cfg, num_classes))
     if len(payload) != expected:
         raise SchemaError(f"checkpoint {path}: payload has {len(payload)} bytes, expected {expected}")
     model = EncoderClassifier(cfg, num_classes)

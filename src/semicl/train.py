@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .autodiff import Tape, slice_, softmax
 from .data import UNLABELED, SemiLabeledDataset, SplitPlan, zscore_by_train
 from .errors import ConfigError, ContractError, DegenerateLabelError, DivergenceError
 from .losses import LossWeights
-from .metrics import METRIC_NAMES, compute_all
+from .metrics import compute_all
 from .nn import EncoderClassifier
 from .optim import OPTIMIZERS, make_optimizer
 from .rng import stream
@@ -43,9 +42,6 @@ logger = logging.getLogger(__name__)
 
 REGIMES = ("end_to_end", "two_stage")
 ABLATIONS = ("full", "no_Lu", "no_Ls", "two_stage_with_Ls")
-
-TRACE_HEADER = "epoch,L_u,L_s,L_c,hybrid," + ",".join(f"val_{m}" for m in METRIC_NAMES)
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -103,11 +99,6 @@ class EpochRecord:
     hybrid: float
     val: dict[str, float]
 
-    def csv_row(self) -> str:
-        vals = [self.epoch, self.loss_u, self.loss_s, self.loss_c, self.hybrid] + [
-            self.val[k] for k in METRIC_NAMES]
-        return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in vals)
-
 
 @dataclass
 class TrainTrace:
@@ -118,10 +109,6 @@ class TrainTrace:
             if not math.isfinite(getattr(rec, name)):
                 raise DivergenceError(f"non-finite {name} recorded at epoch {rec.epoch}")
         self.records.append(rec)
-
-    def to_csv(self, path) -> None:
-        lines = [TRACE_HEADER] + [r.csv_row() for r in self.records]
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 class _Cycler:

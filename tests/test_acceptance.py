@@ -2,7 +2,8 @@
 
 Criteria 5-7 share a session-scoped bundle of reference-config training runs
 (the desk-scale synthetic experiment from scripts/reference.cfg); expect the
-bundle to take several minutes of CPU on first use.
+bundle to take several minutes of CPU on first use. The bundle's runs are also
+written out by the commands' own writers and checked against results/.
 """
 
 import math
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import REFERENCE_CONFIG
+from conftest import REFERENCE_CONFIG, SCRIPTS_DIR
 
 from semicl import autodiff as ad
+from semicl import experiments
 from semicl import losses as L
 from semicl.autodiff import Tensor, grad_check
 from semicl.config import load_config
@@ -26,6 +28,7 @@ from semicl.synth import oracle_accuracy, synth_generate
 
 SEEDS = (1, 2, 3, 4, 5)
 RATIOS = (0.1, 0.2, 0.4)
+RESULTS = SCRIPTS_DIR.parent / "results"
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -257,7 +260,28 @@ def reference_runs(tmp_path_factory):
         "full_ratio": grid[full_ratio],
     }
     bundle["ablation"]["full"] = bundle["compare"][(0.1, "end_to_end")]
+    bundle["written"] = write_with_commands(exp, grid, tmp_path_factory.mktemp("reference_outputs"))
     return bundle
+
+
+def write_with_commands(exp, grid, out):
+    """The files `scripts/reproduce_reference_results.sh` makes, for the runs in `grid`.
+
+    Each command runs as it is, except that its grid runner returns the runs
+    already made, so the files come from the commands' own writers.
+    """
+    def replay(_exp, cells, seeds, _log):
+        assert seeds == list(SEEDS)
+        return [grid[cell] for cell in cells]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_run_grid", replay)
+        experiments.cmd_compare_regimes(exp, out / "compare", list(SEEDS), list(RATIOS))
+        # The committed ablation also has two_stage_with_Ls rows, which the bundle does not run.
+        experiments.cmd_ablate(load_config(REFERENCE_CONFIG, ["data.label_ratio=0.1"]),
+                               out / "ablation", list(SEEDS))
+        experiments.cmd_train(exp, out / "full", list(SEEDS))
+    return out
 
 
 def mean_f1(runs) -> float:
@@ -298,6 +322,32 @@ def test_criterion_7_learning_sanity(reference_runs):
     ok = separable >= 0.99 and all(a >= 0.95 for a in accs) and all(decreasing)
     report(7, ok, f"oracle separability {separable:.3f}; accuracies "
                   f"{[round(a, 3) for a in accs]}; loss decreased: {decreasing}")
+
+
+def test_committed_results_match_the_reference_runs(reference_runs):
+    """results/ holds what the reference runs write: metrics and hashes exactly.
+
+    Losses in the traces differ across BLAS kernels and numpy SIMD levels in
+    the last bits (about 1e-13 relative), so they match to a relative 1e-9.
+    """
+    written = reference_runs["written"]
+    for name in ("compare/compare.csv", "compare/compare_summary.csv", "full/report.csv"):
+        assert (written / name).read_bytes() == (RESULTS / name).read_bytes(), name
+    for name in ("ablation/ablation.csv", "ablation/ablation_summary.csv"):
+        ours = (written / name).read_text().splitlines()
+        ablations = {line.split(",")[0] for line in ours}
+        committed = [line for line in (RESULTS / name).read_text().splitlines()
+                     if line.split(",")[0] in ablations]
+        assert ours == committed, name
+    for name in ["full/trace.csv", *(f"full/trace_seed{seed}.csv" for seed in SEEDS)]:
+        ours = [line.split(",") for line in (written / name).read_text().splitlines()]
+        committed = [line.split(",") for line in (RESULTS / name).read_text().splitlines()]
+        assert ours[0] == committed[0] and len(ours) == len(committed), name
+        for a, b in zip(ours[1:], committed[1:]):
+            # epoch, then L_u, L_s, L_c and hybrid, then the val_* metrics
+            assert a[0] == b[0] and a[5:] == b[5:], (name, a[0])
+            assert all(math.isclose(float(x), float(y), rel_tol=1e-9)
+                       for x, y in zip(a[1:5], b[1:5])), (name, a[0])
 
 
 # ---------------------------------------------------------------------------

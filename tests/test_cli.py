@@ -6,9 +6,11 @@ import pytest
 from semicl.cli import main
 from semicl.config import load_config
 from semicl.data import load_csv, make_split
-from semicl.errors import ConfigError, ParseError, SchemaError
-from semicl.experiments import prepare_data, run_single
+from semicl.errors import ConfigError, ParseError, SchemaError, StratificationError
+from semicl.experiments import (RunLog, _run_grid, _write_trace, prepare_data, run_single,
+                                write_report_csv)
 from semicl.metrics import METRIC_NAMES
+from semicl.train import EpochRecord, TrainTrace
 
 QUICK_CFG = """
 data.source = synth
@@ -157,7 +159,11 @@ def test_eval_rejects_bad_checkpoint_payload(quick_config, tmp_path, capsys, edi
     lambda b: b.replace(b"clf.b 2\n", b"clf.b x\n", 1),
     lambda b: b.replace(b"clf.b 2\n", b"\n", 1),
     lambda b: b.replace(b"clf.b 2\n", b"clf.b -2\n", 1),
-], ids=["magic_only", "non_ascii", "bad_shape", "empty_tensor_line", "negative_shape"])
+    lambda b: b.replace(b"in_channels=1\nnum_blocks=1\n", b"num_blocks=1\nin_channels=1\n", 1),
+    lambda b: b.replace(b"num_classes=2\n", b"num_classes=2\nseed=1\n", 1),
+    lambda b: re.sub(rb"tensors=(\d+)", lambda m: b"tensors=%d" % (int(m[1]) + 1), b, count=1),
+], ids=["magic_only", "non_ascii", "bad_shape", "empty_tensor_line", "negative_shape",
+        "reordered_fields", "extra_field", "tensor_count_off_by_one"])
 def test_eval_rejects_bad_checkpoint_header(quick_config, tmp_path, capsys, edit):
     good = trained_checkpoint(quick_config, tmp_path).read_bytes()
     bad = tmp_path / "bad.ckpt"
@@ -177,6 +183,31 @@ def test_eval_rejects_checkpoint_of_another_class_count(quick_config, tmp_path, 
     assert code == 2
     assert "error[config]" in capsys.readouterr().err
     assert not (tmp_path / "eval" / "report.csv").exists()
+
+
+def test_trace_and_report_writers_golden_text(tmp_path):
+    values = [-0.0, 5e-324, 0.1 + 0.2, 1e16]
+    metrics = dict(zip(METRIC_NAMES, values + [1.0, np.float64(0.5)]))
+    trace = TrainTrace()
+    trace.add(EpochRecord(7, *values, val=metrics))
+    _write_trace(tmp_path / "trace.csv", trace)
+    row = "-0.0,5e-324,0.30000000000000004,1e+16"
+    assert (tmp_path / "trace.csv").read_text() == (
+        "epoch,L_u,L_s,L_c,hybrid,val_accuracy,val_precision,val_recall,val_f1,val_auroc,val_auprc\n"
+        f"7,{row},{row},1.0,0.5\n")
+    write_report_csv(tmp_path / "report.csv", [(3, metrics), ("mean", metrics)])
+    assert (tmp_path / "report.csv").read_text() == (
+        f"seed,accuracy,precision,recall,f1,auroc,auprc\n3,{row},1.0,0.5\nmean,{row},1.0,0.5\n")
+
+
+def test_grid_stopped_by_a_failing_cell_keeps_earlier_notes(quick_config, tmp_path):
+    log = RunLog(tmp_path / "grid")
+    # A label ratio this small leaves a class without labels: the second cell raises.
+    cells = [("end_to_end", "full", 1.0), ("end_to_end", "full", 1e-4)]
+    with pytest.raises(StratificationError):
+        _run_grid(load_config(quick_config), cells, [1], log)
+    notes = (tmp_path / "grid" / "run.log").read_text().splitlines()
+    assert len(notes) == 1 and "] end_to_end (full) ratio 1.0 seed 1: split " in notes[0]
 
 
 def test_ablate_rows_and_shared_hashes(quick_config, tmp_path):
@@ -365,3 +396,22 @@ def test_label_ratio_on_unlabeled_train_rows_exits_2(quick_config, tmp_path, cap
             "6 train samples have label -1") in err
     assert "apply_label_ratio" not in err
     assert not (tmp_path / "run" / "report.csv").exists()
+
+
+@pytest.mark.parametrize("line", [1, 4], ids=["header", "data_row"])
+def test_oversized_quoted_field_exits_2_naming_its_line(quick_config, tmp_path, capsys, line):
+    # csv.reader refuses a field over its 128 KiB limit: a 200,000-character quoted subject id.
+    header = "sample_id,subject_id,trial_id,label,channel," + ",".join(f"v{i}" for i in range(16))
+    rows = [f"n{i},s{i % 4},t{i // 4},{i % 2},0," + ",".join("0.5" for _ in range(16))
+            for i in range(8)]
+    fields = [text.split(",") for text in (header, *rows)]
+    fields[line - 1][1] = '"' + "s" * 200_000 + '"'
+    (tmp_path / "data.csv").write_text("".join(",".join(f) + "\n" for f in fields))
+    (tmp_path / "manifest.txt").write_text("data.csv,2,1,16\n")
+    config = tmp_path / "csv.cfg"
+    config.write_text(QUICK_CFG.replace("data.source = synth",
+                                        "data.source = csv\ndata.manifest = manifest.txt"))
+    code = main(["train", "--config", str(config), "--out", str(tmp_path / "run"), "--seeds", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error[data]" in err and f"data.csv:{line}: field larger than field limit" in err

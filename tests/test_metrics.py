@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from semicl.errors import ContractError, DegenerateLabelError
 from semicl.metrics import (
-    EvalReport,
     _binary_auroc,
     auprc,
     auroc_ovr,
     classification_metrics,
     compute_all,
+    mean_std,
 )
 
 import oracles
@@ -229,14 +229,12 @@ def test_compute_all_six_metrics_in_unit_interval():
     assert all(0.0 <= v <= 1.0 for v in out.values())
 
 
-def test_eval_report_mean_std():
-    rep = EvalReport()
-    for acc in (0.5, 0.7):
-        rep.add({"accuracy": acc, "precision": acc, "recall": acc,
-                 "f1": acc, "auroc": acc, "auprc": acc})
-    assert len(rep.runs) == 2
-    assert rep.mean()["accuracy"] == pytest.approx(0.6)
-    assert rep.std()["accuracy"] == pytest.approx(0.1)
-    empty = EvalReport()
+def test_mean_std_over_runs():
+    runs = [{"accuracy": acc, "precision": acc, "recall": acc,
+             "f1": acc, "auroc": acc, "auprc": acc} for acc in (0.5, 0.7)]
+    summary = mean_std(runs)
+    assert list(summary) == ["mean", "std"]
+    assert summary["mean"]["accuracy"] == pytest.approx(0.6)
+    assert summary["std"]["accuracy"] == pytest.approx(0.1)
     with pytest.raises(ContractError):
-        empty.mean()
+        mean_std([])

@@ -12,13 +12,13 @@ from semicl.autodiff import Tape, Tensor
 from semicl.config import load_config
 from semicl.data import SplitParams, make_split, zscore_by_train
 from semicl.errors import ConfigError, ContractError, DivergenceError
+from semicl.experiments import TRACE_HEADER, _write_trace
 from semicl.losses import LossWeights
 from semicl.nn import EncoderClassifier, EncoderConfig
 from semicl.optim import SGD, make_optimizer
 from semicl.rng import stream
 from semicl.synth import synth_generate
 from semicl.train import (
-    TRACE_HEADER,
     TrainConfig,
     evaluate,
     fit,
@@ -221,15 +221,16 @@ def test_step_precondition_violations():
 # fitting: end to end
 # ---------------------------------------------------------------------------
 
-def test_fit_end_to_end_deterministic():
+def test_fit_end_to_end_deterministic(tmp_path):
     ds, plan = tiny_data()
     cfg = tiny_cfg(optimizer="adam", learning_rate=1e-3, epochs=2, seed=3)
     traces = []
     finals = []
-    for _ in range(2):
+    for k in range(2):
         ds_i, plan_i = tiny_data()
         model, trace = fit(tiny_model(seed=3), ds_i, plan_i, cfg)
-        traces.append("\n".join(r.csv_row() for r in trace.records))
+        _write_trace(tmp_path / f"trace{k}.csv", trace)
+        traces.append((tmp_path / f"trace{k}.csv").read_bytes())
         finals.append({k: p.data.copy() for k, p in model.parameters().items()})
     assert traces[0] == traces[1]
     for k in finals[0]:
@@ -241,7 +242,7 @@ def test_fit_records_one_row_per_epoch_with_header():
     cfg = tiny_cfg(epochs=3, optimizer="adam", learning_rate=1e-3)
     _, trace = fit(tiny_model(), ds, plan, cfg)
     assert len(trace.records) == 3
-    assert TRACE_HEADER.split(",")[:5] == ["epoch", "L_u", "L_s", "L_c", "hybrid"]
+    assert TRACE_HEADER[:5] == ("epoch", "L_u", "L_s", "L_c", "hybrid")
     for rec in trace.records:
         assert np.isfinite([rec.loss_u, rec.loss_s, rec.loss_c, rec.hybrid]).all()
 
