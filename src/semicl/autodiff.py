@@ -7,6 +7,12 @@ entries in exact reverse execution order and accumulates gradients into every
 participating tensor that requires them. A tape can be consumed by at most
 one backward call and holds no state afterwards.
 
+Lifetimes: an entry is released as soon as its backward has run, together
+with its closure and, unless the caller still holds it, its output tensor.
+So the backward frees each layer's activations and gradients as it moves past
+them, and an intermediate's `.grad` survives only on tensors the caller
+holds; a leaf's `.grad` always survives.
+
 Numerical conventions (documented here because tests pin them):
   * everything is float64;
   * `log(x)` evaluates ln(x + 1e-12) and rejects negative inputs;
@@ -94,8 +100,11 @@ class Tape:
     """Ordered record of executed ops for one forward pass.
 
     Use as a context manager around the forward computation; ops executed
-    while the tape is active are recorded. The tape is freed after its single
-    `backward` call. Not thread-safe: one tape per training step.
+    while the tape is active are recorded. The single `backward` call takes
+    each entry off the tape once that entry's backward has run, so an
+    intermediate tensor and its `.grad` live on only where the caller holds
+    them. The tape holds no entries after `backward`, even if an op's
+    backward raised. Not thread-safe: one tape per training step.
     """
 
     _stack: list["Tape"] = []
@@ -135,27 +144,37 @@ class Tape:
         pending: dict[int, tuple[Tensor, np.ndarray]] = {
             id(loss): (loss, np.ones_like(loss.data))
         }
-        for entry in reversed(self.entries):
-            got = pending.pop(id(entry.out), None)
-            if got is None:
-                continue
-            _, g = got
-            if entry.out.requires_grad:
-                _accumulate(entry.out, g)
-            partials = entry.backward_fn(g)
-            for inp, partial in zip(entry.inputs, partials):
-                if partial is None or not inp.requires_grad:
-                    continue
-                key = id(inp)
-                if key in pending:
-                    pending[key] = (inp, pending[key][1] + partial)
-                else:
-                    pending[key] = (inp, partial)
+        try:
+            while self.entries:
+                _backprop(self.entries.pop(), pending)
+        finally:
+            self.entries = []
         # Whatever is left never appears as an op output: these are the leaves.
         for tensor, g in pending.values():
             if tensor.requires_grad:
                 _accumulate(tensor, g)
-        self.entries = []
+
+
+def _backprop(entry: _Entry, pending: dict[int, tuple[Tensor, np.ndarray]]) -> None:
+    """Run one entry's backward, moving its output's gradient onto its inputs.
+
+    A function of its own so that no local outlives the call: once it returns,
+    only `pending` and the caller's own names keep anything of `entry` alive.
+    """
+    got = pending.pop(id(entry.out), None)
+    if got is None:
+        return
+    g = got[1]
+    if entry.out.requires_grad:
+        _accumulate(entry.out, g)
+    for inp, partial in zip(entry.inputs, entry.backward_fn(g)):
+        if partial is None or not inp.requires_grad:
+            continue
+        key = id(inp)
+        if key in pending:
+            pending[key] = (inp, pending[key][1] + partial)
+        else:
+            pending[key] = (inp, partial)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -425,7 +444,8 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
     gradient. Along the last axis those rows are views of `g` and, unpadded,
     of `x`; off it (stride 1 only) they sum in the order of a last-axis call
     on the transposed input. The backward pads `x` again, so the tape keeps no
-    padded copy.
+    padded copy, and it builds the input and kernel gradients only for the
+    operands that require them.
     """
     x, w = as_tensor(x), as_tensor(w)
     if dilation < 1 or stride < 1 or padding < 0:
@@ -496,18 +516,21 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
         # axis the swaps and the reshape of `g` are views.
         g_rows = np.swapaxes(gs, ax - x.ndim, -1)
         g_rows = g_rows.reshape((-1,) + g_rows.shape[x.ndim - 2:])
-        x_rows = padded(np.swapaxes(x.data, ax, -1), x.ndim - 1).reshape(-1, c_in, xp_shape[ax])
-        dw_of = dw_tap(g_rows)
-        dw = np.empty(w.shape)
-        for kk, tap in enumerate(taps(2)):
-            dw[:, :, kk] = dw_of(x_rows[tap])
-        del dw_of, x_rows  # frees the row copies before the input gradient is built
-        if k == 1 and stride == 1 and not padding:
+        # A gradient nothing reads (an input or kernel that needs none) is not built.
+        dx = dw = None
+        if w.requires_grad:
+            x_rows = padded(np.swapaxes(x.data, ax, -1), x.ndim - 1).reshape(-1, c_in, xp_shape[ax])
+            dw_of = dw_tap(g_rows)
+            dw = np.empty(w.shape)
+            for kk, tap in enumerate(taps(2)):
+                dw[:, :, kk] = dw_of(x_rows[tap])
+            del dw_of, x_rows  # frees the row copies before the input gradient is built
+        if x.requires_grad and k == 1 and stride == 1 and not padding:
             # The one tap covers the whole input: no buffer to fill or scatter,
             # and `+= 0.0` keeps the zero fill's signed zeros.
             dx = dx_tap(w.data[:, :, 0], gs)
             dx += 0.0
-        else:
+        elif x.requires_grad:
             dxp = np.zeros(xp_shape)
             for kk, tap in enumerate(x_taps):
                 dxp[tap] += dx_tap(w.data[:, :, kk], gs)

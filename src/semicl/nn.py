@@ -250,6 +250,8 @@ def load_checkpoint(path) -> EncoderClassifier:
         num_classes = int(fields["num_classes"])
     except (KeyError, ValueError) as e:
         raise SchemaError(f"checkpoint {path}: bad header field ({e})") from e
+    except ConfigError as e:
+        raise SchemaError(f"checkpoint {path}: {e}") from e
     # Validate against the architecture's header before allocating any parameter.
     if head + marker != _checkpoint_header(cfg, num_classes):
         raise SchemaError(f"checkpoint {path}: header is not the one written for its "
@@ -257,7 +259,10 @@ def load_checkpoint(path) -> EncoderClassifier:
     expected = 8 * sum(math.prod(shape) for _, shape, _ in _param_specs(cfg, num_classes))
     if len(payload) != expected:
         raise SchemaError(f"checkpoint {path}: payload has {len(payload)} bytes, expected {expected}")
-    model = EncoderClassifier(cfg, num_classes)
+    try:
+        model = EncoderClassifier(cfg, num_classes)
+    except ContractError as e:
+        raise SchemaError(f"checkpoint {path}: {e}") from e
     offset = 0
     for t in model._params.values():
         t.data = np.frombuffer(payload, dtype="<f8", count=t.size,

@@ -200,6 +200,33 @@ def test_padded_convolution_tape_keeps_no_padded_copy(op, w_shape):
     assert held < 0.01 * x.data.nbytes, f"{held / 1e6:.3f} MB held beyond the output"
 
 
+@pytest.mark.parametrize("kernel_grad,budget", [(False, 1.0), (True, 1.5)],
+                         ids=["frozen_kernel", "trainable_kernel"])
+def test_padded_conv1d_backward_builds_no_unused_input_gradient(kernel_grad, budget):
+    """An input that needs no gradient (the encoder's raw data) gets none built.
+
+    A padded input gradient alone is larger than the input, so the backward
+    stays under `budget` times the input's bytes only if it is skipped; a
+    trainable kernel still needs its padded rows of the input.
+    """
+    x = Tensor(RNG.normal(size=(64, 2, 4, 1000)))
+    w = Tensor(RNG.normal(size=(4, 4, 3)), requires_grad=kernel_grad)
+    b = Tensor(np.zeros(4), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum(ad.conv1d(x, w, b, padding=1))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tape.backward(loss)
+        allocated = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    limit = budget * x.data.nbytes
+    assert allocated < limit, f"backward allocated {allocated / 1e6:.3f} MB, limit {limit / 1e6:.3f} MB"
+    assert x.grad is None and (w.grad is not None) == kernel_grad
+    assert np.array_equal(b.grad, np.full(4, 64 * 2 * 1000.0))
+
+
 @pytest.mark.parametrize("kwargs,match", [
     ({"axis": -2}, "channel axis"),
     ({"axis": 4}, "axis must index"),
@@ -329,6 +356,23 @@ def test_backward_populates_intermediate_grads():
     tape.backward(y)
     assert mid.grad is not None and mid.grad.shape == mid.shape
     assert y.grad is not None
+
+
+def test_backward_that_raises_leaves_the_tape_consumed_and_empty():
+    x = Tensor(RNG.normal(size=(3,)), requires_grad=True)
+    with Tape() as tape:
+        y = ad.sum(ad.mul_scalar(ad.relu(x), 2.0))
+
+    def boom(g):
+        raise RuntimeError("backward failed")
+
+    tape.entries[1].backward_fn = boom
+    with pytest.raises(RuntimeError, match="backward failed"):
+        tape.backward(y)
+    assert tape.consumed and tape.entries == []
+    assert x.grad is None
+    with pytest.raises(TapeStateError):
+        tape.backward(y)
 
 
 def test_backward_twice_raises():

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -10,6 +11,7 @@ from semicl.errors import ConfigError, ParseError, SchemaError, StratificationEr
 from semicl.experiments import (RunLog, _run_grid, _write_trace, prepare_data, run_single,
                                 write_report_csv)
 from semicl.metrics import METRIC_NAMES
+from semicl.nn import EncoderConfig, _checkpoint_header, _param_specs
 from semicl.train import EpochRecord, TrainTrace
 
 QUICK_CFG = """
@@ -173,6 +175,27 @@ def test_eval_rejects_bad_checkpoint_header(quick_config, tmp_path, capsys, edit
                  "--seeds", "1", "--model", str(bad)])
     assert code == 2
     assert "error[data]: checkpoint" in capsys.readouterr().err
+
+
+def _num_classes_1(_blob):
+    """QUICK_CFG's architecture with one class: header and payload size agree."""
+    cfg = EncoderConfig(in_channels=1, num_blocks=1, dilations=(1,), feature_channels=2, embed_dim=8)
+    values = sum(math.prod(shape) for _, shape, _ in _param_specs(cfg, 1))
+    return _checkpoint_header(cfg, 1) + b"\0" * (8 * values)
+
+
+@pytest.mark.parametrize("edit,fault", [
+    (lambda b: b.replace(b"num_blocks=1\n", b"num_blocks=0\n", 1), "num_blocks must be >= 1"),
+    (_num_classes_1, "num_classes must be >= 2"),
+], ids=["num_blocks_0", "num_classes_1"])
+def test_eval_names_the_checkpoint_for_an_architecture_fault(quick_config, tmp_path, capsys,
+                                                             edit, fault):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(edit(trained_checkpoint(quick_config, tmp_path).read_bytes()))
+    code = main(["eval", "--config", str(quick_config), "--out", str(tmp_path / "eval"),
+                 "--seeds", "1", "--model", str(bad)])
+    assert code == 2
+    assert f"error[data]: checkpoint {bad}: {fault}" in capsys.readouterr().err
 
 
 def test_eval_rejects_checkpoint_of_another_class_count(quick_config, tmp_path, capsys):

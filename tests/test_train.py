@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -215,6 +216,44 @@ def test_step_precondition_violations():
     with pytest.raises(ContractError):
         train_step(model, opt, cfg, rng.normal(size=(3, 1, 8)),
                    rng.normal(size=(4, 1, 8)), np.array([1, 1, 1, 1]))
+
+
+def test_reference_step_backward_frees_activations_as_it_goes(monkeypatch):
+    """The backward of a reference-shaped step peaks near what the forward holds.
+
+    245 rows (two views of 100 unlabeled and 45 labeled samples), L=128 and
+    the reference encoder, under all three losses. A backward that kept every
+    entry until it ended would hold each activation next to its gradient and
+    peak near twice the forward's memory.
+    """
+    rng = np.random.default_rng(4)
+    enc = EncoderConfig(in_channels=1, num_blocks=3, dilations=(1, 2, 4),
+                        feature_channels=4, embed_dim=64)
+    model = EncoderClassifier(enc, num_classes=2, seed=1)
+    cfg = tiny_cfg(batch_size=100)
+    opt = SGD(model.parameters(), lr=0.01)
+    x_u, x_l = rng.normal(size=(100, 1, 128)), rng.normal(size=(45, 1, 128))
+    y_l = np.arange(45) % 2
+    held, peaks = [], []
+    real_backward = Tape.backward
+
+    def measured(self, loss):
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        real_backward(self, loss)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+
+    monkeypatch.setattr(Tape, "backward", measured)
+    tracemalloc.start()
+    try:
+        train_step(model, opt, cfg, x_u, x_l, y_l)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == len(peaks) == 1
+    assert held[0] > 10e6, f"forward held only {held[0] / 1e6:.1f} MB"
+    assert peaks[0] <= 1.15 * held[0], (
+        f"backward peaked at {peaks[0] / 1e6:.1f} MB over {held[0] / 1e6:.1f} MB held after the forward"
+    )
 
 
 # ---------------------------------------------------------------------------
