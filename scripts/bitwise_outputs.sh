@@ -11,7 +11,10 @@
 # classes (empty positive rows) and large logits, and of the four columns
 # load_csv reads from hand-made CSVs (values at float64's edges, CRLF and LF
 # line ends, blank lines, quoted ids, two files per manifest, length 1):
-# mostly paths the commands never take.
+# mostly paths the commands never take. Last, the sha256 of every parameter's
+# gradient after one reference-shaped training step, univariate and 3-sensor,
+# and after two frozen-encoder fine-tuning steps, across which the encoder's
+# gradients add up.
 #
 #     scripts/bitwise_outputs.sh OUT > digests.txt
 #
@@ -98,18 +101,25 @@ EOF
 
 cd "$OUT"
 find . -type f ! -name run.log | LC_ALL=C sort | xargs sha256sum
-python3 - <<'EOF'
+python3 - "$ROOT/scripts/reference.cfg" <<'EOF'
 import hashlib
 import itertools
+import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from semicl import autodiff as ad
+from semicl.config import load_config
 from semicl.data import load_csv
 from semicl.losses import cross_entropy, sup_contrastive, unsup_contrastive
 from semicl.metrics import auprc, auroc_ovr
+from semicl.nn import EncoderClassifier
+from semicl.optim import make_optimizer
+from semicl.rng import stream
+from semicl.train import _train_step
 
 
 def emit(label, a):
@@ -231,4 +241,26 @@ with tempfile.TemporaryDirectory() as tmp:
         ds = load_csv(tmp / f"{name}.txt")
         for key in ("values", "labels", "subject_ids", "trial_ids"):
             emit(f"load_csv/{name}/{key}", getattr(ds, key))
+
+# One step of reference.cfg's end-to-end training on 100 unlabeled rows (two
+# views each) and 45 labeled ones, all three losses; then, on a fresh model,
+# two fine-tuning steps that move only the classifier, as freeze_encoder does:
+# only its gradients are zeroed, so the encoder's add up across the steps.
+exp = load_config(sys.argv[1])
+cfg = exp.train_config(seed=1)
+for sensors in (1, 3):
+    rng = np.random.default_rng(sensors)
+    x_u, x_l = rng.normal(size=(100, sensors, 128)), rng.normal(size=(45, sensors, 128))
+    y_l = np.arange(45) % 2
+    for label, moved, weights, batch_u, steps in (
+            ("step", EncoderClassifier.parameters, cfg.weights, x_u, 1),
+            ("freeze_encoder", EncoderClassifier.classifier_parameters,
+             replace(cfg.weights, lambda2=0.0), None, 2)):
+        model = EncoderClassifier(exp.encoder_config(sensors), num_classes=2, seed=1)
+        opt = make_optimizer(cfg.optimizer, moved(model), cfg.learning_rate)
+        aug_rng = stream(1, "augment")
+        for _ in range(steps):
+            _train_step(model, opt, weights, cfg, batch_u, x_l, y_l, aug_rng)
+        for name, p in model.parameters().items():
+            emit(f"grad/{label}-s{sensors}/{name}", p.grad)
 EOF

@@ -7,11 +7,13 @@ entries in exact reverse execution order and accumulates gradients into every
 participating tensor that requires them. A tape can be consumed by at most
 one backward call and holds no state afterwards.
 
-Lifetimes: an entry is released as soon as its backward has run, together
-with its closure and, unless the caller still holds it, its output tensor.
-So the backward frees each layer's activations and gradients as it moves past
-them, and an intermediate's `.grad` survives only on tensors the caller
-holds; a leaf's `.grad` always survives.
+Gradients live only in `.grad`: each entry's backward reads its output's
+`.grad` and adds every partial onto its input's. Lifetimes: an entry is
+released as soon as its backward has run, together with its closure and,
+unless the caller still holds it, its output tensor. So the backward frees
+each layer's activations and gradients as it moves past them, and an
+intermediate's `.grad` survives only on tensors the caller holds; a leaf's
+`.grad` always survives.
 
 Numerical conventions (documented here because tests pin them):
   * everything is float64;
@@ -104,7 +106,10 @@ class Tape:
     each entry off the tape once that entry's backward has run, so an
     intermediate tensor and its `.grad` live on only where the caller holds
     them. The tape holds no entries after `backward`, even if an op's
-    backward raised. Not thread-safe: one tape per training step.
+    backward raised, and then every tensor it reached keeps the sums made so
+    far. Partials add onto `.grad` as they arrive: a leaf holding `old` that
+    takes p1 then p2 ends at (old + p1) + p2. Not thread-safe: one tape per
+    training step.
     """
 
     _stack: list["Tape"] = []
@@ -140,48 +145,31 @@ class Tape:
         if loss._tape is not self:
             raise TapeStateError("backward() on a loss that this tape did not record")
         self.consumed = True
-
-        pending: dict[int, tuple[Tensor, np.ndarray]] = {
-            id(loss): (loss, np.ones_like(loss.data))
-        }
+        loss.grad = np.ones_like(loss.data)
         try:
             while self.entries:
-                _backprop(self.entries.pop(), pending)
+                _backprop(self.entries.pop())
         finally:
             self.entries = []
-        # Whatever is left never appears as an op output: these are the leaves.
-        for tensor, g in pending.values():
-            if tensor.requires_grad:
-                _accumulate(tensor, g)
 
 
-def _backprop(entry: _Entry, pending: dict[int, tuple[Tensor, np.ndarray]]) -> None:
-    """Run one entry's backward, moving its output's gradient onto its inputs.
+def _backprop(entry: _Entry) -> None:
+    """Run one entry's backward, adding its output's gradient onto its inputs'.
 
     A function of its own so that no local outlives the call: once it returns,
-    only `pending` and the caller's own names keep anything of `entry` alive.
+    only the tensors' `.grad` and the caller's own names keep anything of
+    `entry` alive.
     """
-    got = pending.pop(id(entry.out), None)
-    if got is None:
+    g = entry.out.grad
+    if g is None:
         return
-    g = got[1]
-    if entry.out.requires_grad:
-        _accumulate(entry.out, g)
     for inp, partial in zip(entry.inputs, entry.backward_fn(g)):
-        if partial is None or not inp.requires_grad:
-            continue
-        key = id(inp)
-        if key in pending:
-            pending[key] = (inp, pending[key][1] + partial)
-        else:
-            pending[key] = (inp, partial)
+        if partial is not None and inp.requires_grad:
+            _accumulate(inp, partial)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.asarray(g)
-    else:
-        t.grad = t.grad + g
+    t.grad = np.asarray(g) if t.grad is None else t.grad + g
 
 
 def _apply(out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -658,15 +646,15 @@ def grad_check(op_closure, inputs, step: float = 1e-5) -> float:
 
     worst = 0.0
     for t, a in zip(inputs, analytic):
-        flat = t.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
+        # Indexes the tensor's own elements, so any memory layout is perturbed in place.
+        for i in np.ndindex(t.shape):
+            orig = t.data[i]
+            t.data[i] = orig + step
             up = eval_scalar()
-            flat[i] = orig - step
+            t.data[i] = orig - step
             down = eval_scalar()
-            flat[i] = orig
+            t.data[i] = orig
             numeric = (up - down) / (2.0 * step)
-            ref = max(abs(a.reshape(-1)[i]), abs(numeric), 1e-12)
-            worst = max(worst, max(abs(a.reshape(-1)[i] - numeric) - floor, 0.0) / ref)
+            ref = max(abs(a[i]), abs(numeric), 1e-12)
+            worst = max(worst, max(abs(a[i] - numeric) - floor, 0.0) / ref)
     return worst

@@ -24,10 +24,6 @@ from .synth import synth_generate
 from .train import ABLATIONS, REGIMES, TrainConfig
 
 
-def _int(s: str) -> int:
-    return int(s)
-
-
 def _float(s: str) -> float:
     value = float(s)
     if not math.isfinite(value):
@@ -42,10 +38,6 @@ def _bool(s: str) -> bool:
     if low in ("false", "0", "no"):
         return False
     raise ValueError(f"expected a boolean, got {s!r}")
-
-
-def _str(s: str) -> str:
-    return s
 
 
 def _choice(*options: str):
@@ -63,22 +55,22 @@ def _int_list(s: str) -> tuple[int, ...]:
 # key -> (parser, default); None default means "only valid when set".
 SCHEMA: dict[str, tuple] = {
     "data.source": (_choice("synth", "csv"), "synth"),
-    "data.manifest": (_str, ""),
-    "data.num_samples": (_int, 600),
-    "data.num_classes": (_int, 2),
-    "data.channels": (_int, 1),
-    "data.length": (_int, 128),
+    "data.manifest": (str, ""),
+    "data.num_samples": (int, 600),
+    "data.num_classes": (int, 2),
+    "data.channels": (int, 1),
+    "data.length": (int, 128),
     "data.noise_sigma": (_float, 0.3),
-    "data.num_subjects": (_int, 8),
+    "data.num_subjects": (int, 8),
     "data.label_ratio": (_float, 1.0),
     "split.pattern": (_choice(*PATTERNS), "trial_dependent"),
     "split.test_fraction": (_float, 0.25),
-    "split.holdout_trials": (_int, 1),
-    "split.holdout_subjects": (_int, 1),
-    "model.num_blocks": (_int, 3),
+    "split.holdout_trials": (int, 1),
+    "split.holdout_subjects": (int, 1),
+    "model.num_blocks": (int, 3),
     "model.dilations": (_int_list, (1, 2, 4)),
-    "model.feature_channels": (_int, 8),
-    "model.embed_dim": (_int, 64),
+    "model.feature_channels": (int, 8),
+    "model.embed_dim": (int, 64),
     "losses.lambda1": (_float, 1.0),
     "losses.lambda2": (_float, 1.0),
     "losses.lambda3": (_float, 1.0),
@@ -89,11 +81,11 @@ SCHEMA: dict[str, tuple] = {
     "augment.jitter_sigma": (_float, 0.1),
     "train.regime": (_choice(*REGIMES), "end_to_end"),
     "train.ablation": (_choice(*ABLATIONS), "full"),
-    "train.epochs": (_int, 30),
-    "train.batch_size": (_int, 100),
+    "train.epochs": (int, 30),
+    "train.batch_size": (int, 100),
     "train.optimizer": (_choice(*OPTIMIZERS), "adam"),
     "train.learning_rate": (_float, 1e-3),
-    "train.pretrain_epochs": (_int, 30),
+    "train.pretrain_epochs": (int, 30),
     "train.freeze_encoder": (_bool, False),
     "rng.algorithm": (_choice(rng_mod.ALGORITHM), rng_mod.ALGORITHM),
 }
@@ -153,10 +145,8 @@ class ExperimentConfig:
             raise ConfigError("data.source=csv needs data.manifest")
         if not (0.0 < self["data.label_ratio"] <= 1.0):
             raise ConfigError(f"data.label_ratio must be in (0, 1], got {self['data.label_ratio']}")
-        # Instantiating the component configs runs their own validation.
-        self.loss_weights()
-        self.augment_spec()
-        self.split_params()
+        # Building the train config builds and so validates the loss weights
+        # and the augmentation spec too.
         self.train_config(seed=0)
 
     def loss_weights(self) -> LossWeights:
@@ -201,25 +191,20 @@ class ExperimentConfig:
 
     def train_config(self, seed: int, regime: str | None = None,
                      ablation: str | None = None) -> TrainConfig:
-        try:
-            return TrainConfig(
-                regime=regime or self["train.regime"],
-                ablation=ablation or self["train.ablation"],
-                weights=self.loss_weights(),
-                epochs=self["train.epochs"],
-                batch_size=self["train.batch_size"],
-                optimizer=self["train.optimizer"],
-                learning_rate=self["train.learning_rate"],
-                seed=seed,
-                pretrain_epochs=self["train.pretrain_epochs"],
-                freeze_encoder=self["train.freeze_encoder"],
-                augment=self.augment_spec(),
-                ntxent_denominator=self["losses.ntxent_denominator"],
-            )
-        except ConfigError:
-            raise
-        except Exception as e:
-            raise ConfigError(f"bad train config: {e}") from e
+        return TrainConfig(
+            regime=regime or self["train.regime"],
+            ablation=ablation or self["train.ablation"],
+            weights=self.loss_weights(),
+            epochs=self["train.epochs"],
+            batch_size=self["train.batch_size"],
+            optimizer=self["train.optimizer"],
+            learning_rate=self["train.learning_rate"],
+            seed=seed,
+            pretrain_epochs=self["train.pretrain_epochs"],
+            freeze_encoder=self["train.freeze_encoder"],
+            augment=self.augment_spec(),
+            ntxent_denominator=self["losses.ntxent_denominator"],
+        )
 
     def build_dataset(self, seed: int) -> SemiLabeledDataset:
         """Generate (synth) or load (csv) the fully labeled dataset."""

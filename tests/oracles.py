@@ -221,6 +221,55 @@ def avg_pool_direct(x, g, window):
     return out, dx
 
 
+def cross_sensor_direct(h, w, bias):
+    """Correlation across the sensors of (B, S, F, T), zero-padded to keep S.
+
+    One output sensor and one kernel tap at a time: output sensor s sums tap k
+    of `w` (O, I, K) over the features of padded sensor s + k, at every time step.
+    """
+    pad = (w.shape[2] - 1) // 2
+    hp = np.zeros((h.shape[0], h.shape[1] + 2 * pad) + h.shape[2:])
+    hp[:, pad: pad + h.shape[1]] = h
+    out = np.zeros(h.shape[:2] + (w.shape[0], h.shape[3]))
+    for s in range(h.shape[1]):
+        for kk in range(w.shape[2]):
+            out[:, s] += np.einsum("oi,bit->bot", w[:, :, kk], hp[:, s + kk])
+        out[:, s] += bias[:, None]
+    return out
+
+
+def encode_direct(params, x, cfg):
+    """Embeddings (B, embed_dim) of x (B, sensors, L), written from the `semicl.nn` docstring.
+
+    `params` maps the model's parameter names to arrays; `cfg` gives one
+    dilation per block. Each block runs, on every sensor's (B, F, T) plane,
+    a pointwise and a dilated 3-tap temporal convolution (padding = dilation),
+    then a convolution across the sensors (3 taps, padding 1, with two or more
+    sensors; 1 tap with one), then a depthwise convolution (multiplier 2,
+    padding 1), each followed by relu, and a window-2 average pool over time.
+    The mean over time, flattened sensor-major, goes through the linear head.
+    Calls neither `semicl.nn` nor `semicl.autodiff`.
+    """
+    p = {name: np.asarray(a, dtype=float) for name, a in params.items()}
+    h = np.asarray(x, dtype=float)[:, :, None, :]
+    b_n, sensors = h.shape[:2]
+
+    def per_sensor(conv, h, name, **kwargs):
+        return np.stack([conv(h[:, s], p[name + ".w"], p[name + ".b"], **kwargs)
+                         for s in range(sensors)], axis=1)
+
+    for i, d in enumerate(cfg.dilations):
+        pre = f"enc.b{i}"
+        h = np.maximum(per_sensor(conv1d_direct, h, pre + ".pw"), 0.0)
+        h = np.maximum(per_sensor(conv1d_direct, h, pre + ".temporal", dilation=d, padding=d), 0.0)
+        assert p[pre + ".cross.w"].shape[2] == (3 if sensors >= 2 else 1)
+        h = np.maximum(cross_sensor_direct(h, p[pre + ".cross.w"], p[pre + ".cross.b"]), 0.0)
+        h = np.maximum(per_sensor(depthwise_conv1d_direct, h, pre + ".depthwise", padding=1), 0.0)
+        pooled, _ = avg_pool_direct(h, np.zeros(h.shape[:3] + (h.shape[3] // 2,)), 2)
+        h = pooled.reshape(h.shape[:3] + (-1,))
+    return h.mean(axis=3).reshape(b_n, -1) @ p["enc.head.w"] + p["enc.head.b"]
+
+
 def auroc_pairwise(labels, scores) -> float:
     """Exhaustive pairwise comparisons; ties count one half (binary)."""
     pos = [s for s, t in zip(scores, labels) if t]

@@ -375,6 +375,38 @@ def test_backward_that_raises_leaves_the_tape_consumed_and_empty():
         tape.backward(y)
 
 
+def test_backward_that_raises_keeps_the_partials_of_the_leaves_it_reached():
+    a = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+    b = Tensor([1.5, 0.25, -3.0], requires_grad=True)
+    with Tape() as tape:
+        r = ad.relu(ad.mul_scalar(b, 3.0))
+        m = ad.mul_scalar(a, 2.0)
+        y = ad.sum(ad.add(r, m))
+
+    def boom(g):
+        raise RuntimeError("backward failed")
+
+    # The backward walks sum, add and a's mul_scalar, then fails at the relu
+    # before it reaches b's mul_scalar.
+    tape.entries[1].backward_fn = boom
+    with pytest.raises(RuntimeError, match="backward failed"):
+        tape.backward(y)
+    assert np.array_equal(a.grad, np.full(3, 2.0))
+    assert np.array_equal(m.grad, np.ones(3))
+    assert b.grad is None
+    assert tape.consumed and tape.entries == []
+
+
+def test_a_leaf_adds_each_partial_onto_its_grad_in_turn():
+    # 1 + 2**-53 rounds to 1 (ties to even); 1 + (2**-53 + 2**-53) would not.
+    x = Tensor([1.0], requires_grad=True)
+    x.grad = np.array([1.0])
+    with Tape() as tape:
+        y = ad.sum(ad.add(ad.mul_scalar(x, 2.0 ** -53), ad.mul_scalar(x, 2.0 ** -53)))
+    tape.backward(y)
+    assert x.grad.tolist() == [1.0]
+
+
 def test_backward_twice_raises():
     x = Tensor(RNG.normal(size=(3,)), requires_grad=True)
     with Tape() as tape:
@@ -516,6 +548,18 @@ def test_grad_check_discounts_roundoff_but_not_a_wrong_tiny_gradient():
     assert grad_check(loss(1.01e-8), [x]) > 1e-4
     assert grad_check(loss(2e-8), [x]) > 0.4
     assert grad_check(loss(0.0), [x]) > 0.9
+
+
+@pytest.mark.parametrize("layout", ["transposed", "fortran"])
+def test_grad_check_perturbs_non_contiguous_inputs_in_place(layout):
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(3, 4)).T if layout == "transposed" else np.asfortranarray(
+        rng.normal(size=(3, 4, 2)))
+    assert not data.flags.c_contiguous
+    x = Tensor(data, requires_grad=True)
+    before = x.data.copy()
+    assert grad_check(lambda v: ad.sum(ad.mul(v, v)), [x]) < 1e-8
+    assert np.array_equal(x.data, before)
 
 
 def test_grad_check_rejects_bad_step():

@@ -2,11 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from semicl import autodiff as ad
+from semicl.augment import AugmentSpec, make_views
 from semicl.autodiff import Tape, Tensor, grad_check
 from semicl.errors import ConfigError, ContractError, DimensionError, InputLengthError, SchemaError
-from semicl.losses import cross_entropy
+from semicl.losses import LossWeights, cross_entropy
 from semicl.nn import (
     EncoderClassifier,
     EncoderConfig,
@@ -16,6 +20,8 @@ from semicl.nn import (
     save_checkpoint,
 )
 from semicl.optim import SGD
+from semicl.rng import stream
+from semicl.train import TrainConfig, _train_step
 
 RNG = np.random.default_rng(5)
 
@@ -210,6 +216,76 @@ def test_whole_model_gradient_multivariate(monkeypatch):
     # A relu input within a few steps of 0 would make the central difference straddle the kink.
     assert min(relu_margin) > 1e-4
     assert err < 1e-4, f"whole-model relative gradient error {err:.3e}"
+
+
+@st.composite
+def encoder_cases(draw):
+    """An architecture (1-4 sensors, 1-3 blocks, dilations 1-4, 1-6 features, embeddings
+    of 1-8), a series length it accepts, odd ones included, and a seed."""
+    blocks = draw(st.integers(1, 3))
+    cfg = EncoderConfig(in_channels=draw(st.integers(1, 4)), num_blocks=blocks,
+                        dilations=draw(st.lists(st.integers(1, 4), min_size=blocks,
+                                                max_size=blocks)),
+                        feature_channels=draw(st.integers(1, 6)), embed_dim=draw(st.integers(1, 8)))
+    return cfg, draw(st.integers(2 ** blocks, 40)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def model_with_biases(cfg, seed):
+    """A model whose biases are drawn off zero, with its parameters as plain arrays."""
+    model = EncoderClassifier(cfg, num_classes=3, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, p in model.parameters().items():
+        if name.endswith(".b"):
+            p.data = rng.normal(size=p.shape)
+    return model, {name: p.data.copy() for name, p in model.parameters().items()}, rng
+
+
+def relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+# Three sensors, the largest dilation and an odd length that each pool trims.
+MULTI_CASE = (EncoderConfig(in_channels=3, num_blocks=2, dilations=(4, 1), feature_channels=3,
+                            embed_dim=5), 23, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(encoder_cases(), st.integers(1, 5))
+@example(MULTI_CASE, 2)
+def test_encode_and_classify_match_the_oracle_encoder(case, batch):
+    cfg, length, seed = case
+    model, params, rng = model_with_biases(cfg, seed)
+    x = rng.normal(size=(batch, cfg.in_channels, length))
+    z = oracles.encode_direct(params, x, cfg)
+    assert relative_gap(model.encode(x).data, z) <= 1e-12
+    logits = z @ params["clf.w"] + params["clf.b"]
+    assert relative_gap(model.classify(Tensor(z)).data, logits) <= 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(encoder_cases(), st.integers(2, 4), st.integers(3, 5))
+@example(MULTI_CASE, 3, 4)
+def test_train_step_losses_match_the_oracle_encoder_and_losses(case, n_u, n_l):
+    """The step's L_u pairs views i and j of each unlabeled row; L_s and L_c read the labeled rows."""
+    cfg, length, seed = case
+    model, params, rng = model_with_biases(cfg, seed)
+    x_u = rng.normal(size=(n_u, cfg.in_channels, length))
+    x_l = rng.normal(size=(n_l, cfg.in_channels, length))
+    y_l = np.concatenate([[0, 0, 1], rng.integers(0, 3, size=n_l - 3)])
+    lw = LossWeights(0.7, 1.3, 0.4, tau=0.5)
+    train_cfg = TrainConfig(weights=lw, optimizer="sgd",
+                            augment=AugmentSpec(kind="jitter", jitter_sigma=0.5))
+    got = _train_step(model, SGD(model.parameters(), 0.1), lw, train_cfg, x_u, x_l, y_l,
+                      stream(seed, "augment"))
+
+    views = make_views(x_u, train_cfg.augment, stream(seed, "augment"))
+    zi, zj, zl = (oracles.encode_direct(params, v, cfg) for v in (views[:, 0], views[:, 1], x_l))
+    want = {"loss_u": oracles.ntxent_simclr(zi, zj, lw.tau),
+            "loss_s": oracles.supcon_ratio_of_sums(zl, y_l, lw.tau),
+            "loss_c": oracles.softmax_cross_entropy(zl @ params["clf.w"] + params["clf.b"], y_l)}
+    want["hybrid"] = (lw.lambda1 * want["loss_u"] + lw.lambda2 * want["loss_s"]
+                      + lw.lambda3 * want["loss_c"])
+    assert got == pytest.approx(want, rel=1e-9, abs=1e-10)
 
 
 def test_config_validation():
