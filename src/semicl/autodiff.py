@@ -28,11 +28,11 @@ pads, slices the input at each kernel tap and runs the forward and backward
 loops over the taps. Each op supplies only its three per-tap products: the
 output, the input gradient and the kernel gradient. Channels sit at axis -2.
 Both ops correlate along the last axis; `conv1d` can also correlate along an
-earlier axis at stride 1 (`axis=-3` runs the encoder's cross-sensor
-convolution on (batch, sensor, feature, time) without transposing it), with
-the bytes of a last-axis call on the transposed input. On every axis the
-products run on the input as it is laid out, and the backward pads the input
-again rather than keeping a padded copy on the tape.
+earlier axis (`axis=-3` runs the encoder's cross-sensor convolution on
+(batch, sensor, feature, time) without transposing it), with the bytes of a
+last-axis call on the transposed input. On every axis the products run on the
+input as it is laid out, and the backward pads the input again rather than
+keeping a padded copy on the tape.
 """
 
 from __future__ import annotations
@@ -414,8 +414,8 @@ def cosine_similarity_matrix(a: Tensor, b: Tensor) -> Tensor:
 # convolution and pooling
 # ---------------------------------------------------------------------------
 
-def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, axis: int,
-               depthwise: bool, fwd_tap, dx_tap, dw_tap) -> Tensor:
+def _correlate(op: str, x, w, bias, dilation: int, padding: int, axis: int, depthwise: bool,
+               fwd_tap, dx_tap, dw_tap) -> Tensor:
     """Direct 1-D correlation along one axis, shared by both convolutions.
 
     Owns the checks, the padding, the tap slices, both tap loops and the bias
@@ -430,16 +430,15 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
     the correlated axis swapped to the end and the leading axes flattened:
     (n, C_in, L) for the input, (n, C, M, L_out) or (n, C_out, L_out) for the
     gradient. Along the last axis those rows are views of `g` and, unpadded,
-    of `x`; off it (stride 1 only) they sum in the order of a last-axis call
+    of `x`; off it they sum in the order of a last-axis call
     on the transposed input. The backward pads `x` again, so the tape keeps no
     padded copy, and it builds the input and kernel gradients only for the
     operands that require them.
     """
     x, w = as_tensor(x), as_tensor(w)
-    if dilation < 1 or stride < 1 or padding < 0:
+    if dilation < 1 or padding < 0:
         raise ContractError(
-            f"{op}: dilation/stride must be >= 1 and padding >= 0, "
-            f"got dilation={dilation} stride={stride} padding={padding}"
+            f"{op}: dilation must be >= 1 and padding >= 0, got dilation={dilation} padding={padding}"
         )
     layout = "(C, M, K)" if depthwise else "(O, I, K)"
     if x.ndim < 2 or w.ndim != 3:
@@ -449,8 +448,6 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
             f"{op}: axis must index input {x.shape} and not be its channel axis -2, got axis={axis}"
         )
     ax = axis % x.ndim
-    if stride != 1 and ax != x.ndim - 1:
-        raise ContractError(f"{op}: stride must be 1 off the last axis, got stride={stride} axis={axis}")
     k = w.shape[2]
     c_in, c_out = (w.shape[0], w.shape[0] * w.shape[1]) if depthwise else (w.shape[1], w.shape[0])
     if x.shape[-2] != c_in:
@@ -458,17 +455,16 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
             f"{op}: input has {x.shape[-2]} channels but kernel expects {c_in} (input {x.shape}, kernel {w.shape})"
         )
     length = x.shape[ax]
-    out_len = (length + 2 * padding - (k - 1) * dilation - 1) // stride + 1
+    out_len = length + 2 * padding - (k - 1) * dilation
     if out_len < 1:
         raise DimensionError(
-            f"{op}: input length {length} too short for kernel {k} with dilation {dilation}, "
-            f"stride {stride}, padding {padding}"
+            f"{op}: input length {length} too short for kernel {k} with dilation {dilation}, padding {padding}"
         )
     if bias is not None and bias.shape != (c_out,):
         raise DimensionError(f"{op}: bias shape {bias.shape} does not match {c_out} output channels")
 
-    def along(dim, start, stop, step=1):
-        return (np.s_[:],) * dim + (np.s_[start:stop:step],)
+    def along(dim, start, stop):
+        return (np.s_[:],) * dim + (np.s_[start:stop],)
 
     def padded(a, dim):
         """`a` zero-padded on both sides of axis `dim`: one zeroed buffer, one slice copy."""
@@ -479,8 +475,7 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
         return out
 
     def taps(dim):
-        return [along(dim, s, s + stride * (out_len - 1) + 1, stride)
-                for s in range(0, k * dilation, dilation)]
+        return [along(dim, s, s + out_len) for s in range(0, k * dilation, dilation)]
 
     xp = padded(x.data, ax)
     xp_shape = xp.shape
@@ -513,7 +508,7 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
             for kk, tap in enumerate(taps(2)):
                 dw[:, :, kk] = dw_of(x_rows[tap])
             del dw_of, x_rows  # frees the row copies before the input gradient is built
-        if x.requires_grad and k == 1 and stride == 1 and not padding:
+        if x.requires_grad and k == 1 and not padding:
             # The one tap covers the whole input: no buffer to fill or scatter,
             # and `+= 0.0` keeps the zero fill's signed zeros.
             dx = dx_tap(w.data[:, :, 0], gs)
@@ -533,19 +528,19 @@ def _correlate(op: str, x, w, bias, dilation: int, stride: int, padding: int, ax
 
 
 def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1,
-           stride: int = 1, padding: int = 0, axis: int = -1) -> Tensor:
+           padding: int = 0, axis: int = -1) -> Tensor:
     """Direct 1-D correlation along `axis`, with channels at axis -2.
 
     `x` has shape (..., C_in, L) with arbitrary leading batch axes; `w` has
     shape (C_out, C_in, K). Output is (..., C_out, L_out) with
-    L_out = (L + 2*padding - (K-1)*dilation - 1) // stride + 1.
-    `axis` may also name an axis before the channel axis, with stride 1: on
+    L_out = L + 2*padding - (K-1)*dilation.
+    `axis` may also name an axis before the channel axis: on
     `x` of shape (B, S, C_in, T), `axis=-3` correlates across S and gives
     (B, S_out, C_out, T), the bytes of a last-axis call on
     `x.transpose(0, 3, 2, 1)`, transposed back.
     """
     return _correlate(
-        "conv1d", x, w, bias, dilation, stride, padding, axis=axis, depthwise=False,
+        "conv1d", x, w, bias, dilation, padding, axis=axis, depthwise=False,
         fwd_tap=np.matmul,
         dx_tap=lambda wk, g: np.matmul(wk.T, g),
         dw_tap=lambda g: lambda xt: np.matmul(g, xt.transpose(0, 2, 1)).sum(axis=0),
@@ -553,14 +548,14 @@ def conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1,
 
 
 def depthwise_conv1d(x: Tensor, w: Tensor, bias: Tensor | None = None, dilation: int = 1,
-                     stride: int = 1, padding: int = 0) -> Tensor:
+                     padding: int = 0) -> Tensor:
     """Per-channel 1-D correlation with a depth multiplier.
 
     `w` has shape (C, M, K); each input channel c produces M output channels,
     laid out c-major: output channel index = c * M + m.
     """
     return _correlate(
-        "depthwise_conv1d", x, w, bias, dilation, stride, padding, axis=-1, depthwise=True,
+        "depthwise_conv1d", x, w, bias, dilation, padding, axis=-1, depthwise=True,
         fwd_tap=lambda wk, xt: xt[..., None, :] * wk[:, :, None],
         dx_tap=lambda wk, g: np.einsum("...cml,cm->...cl", g, wk),
         dw_tap=_depthwise_dw_tap,

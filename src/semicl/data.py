@@ -120,7 +120,6 @@ class SplitParams:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    pattern: str
     train_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
 
@@ -451,7 +450,6 @@ def make_split(dataset: SemiLabeledDataset, pattern: str, params: SplitParams,
         test = np.isin(dataset.subject_ids, held)
 
     return SplitPlan(
-        pattern=pattern,
         train_indices=tuple(np.flatnonzero(~test).tolist()),
         test_indices=tuple(np.flatnonzero(test).tolist()),
     )

@@ -120,9 +120,8 @@ class EncoderClassifier:
             raise ContractError(f"num_classes must be >= 2, got {num_classes}")
         self.config = config
         self.num_classes = int(num_classes)
-        self.seed = int(seed)
         self._params: dict[str, Tensor] = {}
-        self._init_params(stream(self.seed, "init"))
+        self._init_params(stream(int(seed), "init"))
 
     def _init_params(self, rng: np.random.Generator) -> None:
         for name, shape, fan_in in _param_specs(self.config, self.num_classes):

@@ -12,6 +12,9 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ContractError, DivergenceError
 
+# Adam's moment decay rates and denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class SGD:
     def __init__(self, params: dict[str, Tensor], lr: float):
@@ -34,17 +37,13 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction; beta1=0.9, beta2=0.999, eps=1e-8."""
+    """Adam with bias correction and the constants BETA1, BETA2 and EPS."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         if lr <= 0:
             raise ContractError(f"learning rate must be positive, got {lr}")
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros(p.shape) for k, p in self.params.items()}
         self.v = {k: np.zeros(p.shape) for k, p in self.params.items()}
@@ -61,11 +60,11 @@ class Adam:
                 g = np.zeros(p.shape)
             elif not np.isfinite(g).all():
                 raise DivergenceError(f"non-finite gradient for parameter {name}")
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            m_hat = self.m[name] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[name] / (1 - self.beta2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * g * g
+            m_hat = self.m[name] / (1 - BETA1 ** self.t)
+            v_hat = self.v[name] / (1 - BETA2 ** self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 OPTIMIZERS = {"adam": Adam, "sgd": SGD}

@@ -106,7 +106,7 @@ def softmax_cross_entropy(logits, y) -> float:
     return total / len(y)
 
 
-def conv1d_direct(x, w, bias=None, dilation=1, stride=1, padding=0):
+def conv1d_direct(x, w, bias=None, dilation=1, padding=0):
     """Nested-loop correlation for (B, C, L) input and (O, I, K) kernel."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -114,7 +114,7 @@ def conv1d_direct(x, w, bias=None, dilation=1, stride=1, padding=0):
     c_out, _, k = w.shape
     xp = np.zeros((b_n, c_in, length + 2 * padding))
     xp[:, :, padding: padding + length] = x
-    out_len = (length + 2 * padding - (k - 1) * dilation - 1) // stride + 1
+    out_len = length + 2 * padding - (k - 1) * dilation
     out = np.zeros((b_n, c_out, out_len))
     for b in range(b_n):
         for o in range(c_out):
@@ -122,12 +122,12 @@ def conv1d_direct(x, w, bias=None, dilation=1, stride=1, padding=0):
                 acc = 0.0
                 for i in range(c_in):
                     for kk in range(k):
-                        acc += w[o, i, kk] * xp[b, i, t * stride + kk * dilation]
+                        acc += w[o, i, kk] * xp[b, i, t + kk * dilation]
                 out[b, o, t] = acc + (bias[o] if bias is not None else 0.0)
     return out
 
 
-def depthwise_conv1d_direct(x, w, bias=None, dilation=1, stride=1, padding=0):
+def depthwise_conv1d_direct(x, w, bias=None, dilation=1, padding=0):
     """Nested-loop per-channel correlation; output channel c*M + m."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -135,7 +135,7 @@ def depthwise_conv1d_direct(x, w, bias=None, dilation=1, stride=1, padding=0):
     _, mult, k = w.shape
     xp = np.zeros((b_n, c, length + 2 * padding))
     xp[:, :, padding: padding + length] = x
-    out_len = (length + 2 * padding - (k - 1) * dilation - 1) // stride + 1
+    out_len = length + 2 * padding - (k - 1) * dilation
     out = np.zeros((b_n, c * mult, out_len))
     for b in range(b_n):
         for ch in range(c):
@@ -143,13 +143,13 @@ def depthwise_conv1d_direct(x, w, bias=None, dilation=1, stride=1, padding=0):
                 for t in range(out_len):
                     acc = 0.0
                     for kk in range(k):
-                        acc += w[ch, m, kk] * xp[b, ch, t * stride + kk * dilation]
+                        acc += w[ch, m, kk] * xp[b, ch, t + kk * dilation]
                     oc = ch * mult + m
                     out[b, oc, t] = acc + (bias[oc] if bias is not None else 0.0)
     return out
 
 
-def correlate_tap_loop(x, w, bias, g, depthwise, dilation=1, stride=1, padding=0):
+def correlate_tap_loop(x, w, bias, g, depthwise, dilation=1, padding=0):
     """The convolutions' original tap loop, kept as the byte reference.
 
     Zero-filled accumulators, one product per kernel tap, a scatter into a
@@ -161,7 +161,7 @@ def correlate_tap_loop(x, w, bias, g, depthwise, dilation=1, stride=1, padding=0
     k = w.shape[2]
     c_in, c_out = (w.shape[0], w.shape[0] * w.shape[1]) if depthwise else (w.shape[1], w.shape[0])
     length = x.shape[-1]
-    out_len = (length + 2 * padding - (k - 1) * dilation - 1) // stride + 1
+    out_len = length + 2 * padding - (k - 1) * dilation
     if depthwise:
         def fwd_tap(wk, xt):
             return xt[:, :, None, :] * wk[None, :, :, None]
@@ -182,8 +182,7 @@ def correlate_tap_loop(x, w, bias, g, depthwise, dilation=1, stride=1, padding=0
 
     xp = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(padding, padding)]) if padding else x
     x3 = xp.reshape(-1, c_in, xp.shape[-1])
-    taps = [np.s_[:, :, s: s + stride * (out_len - 1) + 1: stride]
-            for s in range(0, k * dilation, dilation)]
+    taps = [np.s_[:, :, s: s + out_len] for s in range(0, k * dilation, dilation)]
     out_channels = w.shape[:2] if depthwise else (c_out,)
     acc = np.zeros((x3.shape[0],) + out_channels + (out_len,))
     for kk, tap in enumerate(taps):

@@ -43,14 +43,17 @@ def test_conv1d_direct_example():
     assert np.allclose(out.data, [[-2.0, -2.0]])
 
 
-@pytest.mark.parametrize("dilation,stride,padding", [(1, 1, 0), (2, 1, 2), (3, 2, 1), (1, 3, 0)])
-def test_conv1d_matches_loop_oracle(dilation, stride, padding):
+# IDs read dilation-stride-padding; every convolution runs at stride 1. The
+# last two: a dilation reaching past the padding, and padding past the kernel's
+# reach, so the output is longer than the input.
+@pytest.mark.parametrize("dilation,padding", [(1, 0), (2, 2), (3, 1), (1, 3)],
+                         ids=["1-1-0", "2-1-2", "3-1-1", "1-1-3"])
+def test_conv1d_matches_loop_oracle(dilation, padding):
     x = RNG.normal(size=(2, 3, 17))
     w = RNG.normal(size=(4, 3, 3))
     b = RNG.normal(size=4)
-    out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b), dilation=dilation, stride=stride,
-                    padding=padding)
-    expected = oracles.conv1d_direct(x, w, b, dilation=dilation, stride=stride, padding=padding)
+    out = ad.conv1d(Tensor(x), Tensor(w), Tensor(b), dilation=dilation, padding=padding)
+    expected = oracles.conv1d_direct(x, w, b, dilation=dilation, padding=padding)
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -72,13 +75,12 @@ def test_depthwise_conv1d_matches_loop_oracle():
     assert np.allclose(out.data, expected, atol=1e-12)
     # The conv1d oracle grid, with and without bias.
     x = RNG.normal(size=(2, 3, 17))
-    for dilation, stride, padding in [(1, 1, 0), (2, 1, 2), (3, 2, 1), (1, 3, 0)]:
+    for dilation, padding in [(1, 0), (2, 2), (3, 1), (1, 3)]:
         for bias in (b, None):
             out = ad.depthwise_conv1d(Tensor(x), Tensor(w), None if bias is None else Tensor(bias),
-                                      dilation=dilation, stride=stride, padding=padding)
-            expected = oracles.depthwise_conv1d_direct(x, w, bias, dilation=dilation,
-                                                       stride=stride, padding=padding)
-            assert np.allclose(out.data, expected, atol=1e-12), (dilation, stride, padding, bias)
+                                      dilation=dilation, padding=padding)
+            expected = oracles.depthwise_conv1d_direct(x, w, bias, dilation=dilation, padding=padding)
+            assert np.allclose(out.data, expected, atol=1e-12), (dilation, padding, bias)
     # Leading batch axes.
     x = RNG.normal(size=(2, 5, 3, 10))
     out = ad.depthwise_conv1d(Tensor(x), Tensor(w), Tensor(b), dilation=2, padding=2)
@@ -105,14 +107,14 @@ def _encoder_convolutions(rows=245, sensors=1, length=128, prefix=""):
 # The univariate encoder's convolutions, the multivariate encoder's last-axis
 # ones at 48 rows and 3 sensors (its cross-sensor ones run along axis -3,
 # below), then small ones over the geometries of scripts/bitwise_outputs.sh
-# (one-tap kernels included), with and without bias.
+# (one-tap kernels included) and two more, a dilation reaching past the padding
+# and padding past the kernel's reach, with and without bias.
 BYTE_CASES = _encoder_convolutions() + [
     c for c in _encoder_convolutions(48, 3, 32, prefix="multi.") if not c[0].endswith(".cross")] + [
-    (f"{op.__name__}{w_shape}-d{d}s{s}p{p}", op, (2, 3, 3, 17), w_shape,
-     {"dilation": d, "stride": s, "padding": p})
+    (f"{op.__name__}{w_shape}-d{d}s1p{p}", op, (2, 3, 3, 17), w_shape, {"dilation": d, "padding": p})
     for op, w_shape in [(ad.conv1d, (4, 3, 3)), (ad.conv1d, (4, 3, 1)),
                         (ad.depthwise_conv1d, (3, 2, 3)), (ad.depthwise_conv1d, (3, 2, 1))]
-    for d, s, p in [(1, 1, 0), (1, 1, 1), (2, 1, 2), (1, 2, 1), (2, 2, 2), (4, 1, 0)]]
+    for d, p in [(1, 0), (1, 1), (2, 2), (4, 0), (3, 1), (1, 3)]]
 
 
 def _same_bytes(a, b):
@@ -146,7 +148,7 @@ def test_convolutions_keep_the_tap_loop_bytes(name, op, x_shape, w_shape, kwargs
 
 # conv1d across the sensor axis (axis -3 of (batch, sensor, feature, time)):
 # the multivariate encoder's three cross convolutions at 48 rows, 3 sensors
-# and F=4, then the stride-1 geometries of scripts/bitwise_outputs.sh along
+# and F=4, then the geometries of scripts/bitwise_outputs.sh along
 # an axis of 17.
 SENSOR_AXIS_CASES = [
     (f"b{i}.cross", (48, 3, 4, length), (4, 4, 3), {"padding": 1})
@@ -231,12 +233,20 @@ def test_padded_conv1d_backward_builds_no_unused_input_gradient(kernel_grad, bud
     ({"axis": -2}, "channel axis"),
     ({"axis": 4}, "axis must index"),
     ({"axis": -5}, "axis must index"),
-    ({"axis": -3, "stride": 2}, "stride must be 1"),
-], ids=["channel_axis", "past_last", "before_first", "strided"])
+], ids=["channel_axis", "past_last", "before_first"])
 def test_conv1d_rejects_bad_axis(kwargs, match):
     with pytest.raises(ContractError, match=match) as info:
         ad.conv1d(Tensor(np.zeros((2, 5, 3, 8))), Tensor(np.zeros((4, 3, 3))), **kwargs)
     assert str(info.value).startswith("conv1d:")
+
+
+@pytest.mark.parametrize("kwargs", [{"dilation": 0}, {"padding": -1}], ids=["dilation_0", "padding_-1"])
+@pytest.mark.parametrize("op,w_shape", [(ad.conv1d, (4, 3, 3)), (ad.depthwise_conv1d, (3, 2, 3))],
+                         ids=["conv1d", "depthwise_conv1d"])
+def test_convolutions_reject_bad_dilation_or_padding(op, w_shape, kwargs):
+    with pytest.raises(ContractError, match="dilation must be >= 1 and padding >= 0") as info:
+        op(Tensor(np.zeros((2, 3, 8))), Tensor(np.zeros(w_shape)), **kwargs)
+    assert str(info.value).startswith(f"{op.__name__}:")
 
 
 def test_avg_pool_halves_length():
@@ -487,12 +497,15 @@ OP_CASES = {
     "conv1d": (lambda: [t((2, 3, 11)), t((4, 3, 3)), t((4,))],
                lambda x, w, b: ad.conv1d(x, w, b, dilation=2, padding=2), {}),
     "conv1d_one_tap": (lambda: [t((2, 3, 7)), t((4, 3, 1)), t((4,))], ad.conv1d, {}),
-    "conv1d_one_tap_strided": (lambda: [t((2, 3, 8)), t((4, 3, 1))],
-                               lambda x, w: ad.conv1d(x, w, stride=2), {}),
+    # Padding sends a one-tap kernel's input gradient through the scatter loop.
+    "conv1d_one_tap_padded": (lambda: [t((2, 3, 7)), t((4, 3, 1))],
+                              lambda x, w: ad.conv1d(x, w, padding=2), {}),
     "depthwise": (lambda: [t((2, 3, 8)), t((3, 2, 3)), t((6,))],
                   lambda x, w, b: ad.depthwise_conv1d(x, w, b, padding=1), {}),
+    # Stride 1 despite its name, which is kept as a test ID: a dilated depthwise
+    # kernel with no bias, which no other case grad-checks.
     "depthwise_strided": (lambda: [t((2, 3, 13)), t((3, 2, 3))],
-                          lambda x, w: ad.depthwise_conv1d(x, w, dilation=2, stride=2), {}),
+                          lambda x, w: ad.depthwise_conv1d(x, w, dilation=2), {}),
     "avg_pool": (lambda: [t((2, 3, 9))], lambda x: ad.avg_pool(x, 2), {}),
     "avg_pool_w3": (lambda: [t((2, 3, 10))], lambda x: ad.avg_pool(x, 3), {}),
     "relu": (lambda: [Tensor(RNG.normal(size=(4, 5)) + np.sign(RNG.normal(size=(4, 5))) * 0.3,

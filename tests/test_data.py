@@ -278,7 +278,7 @@ def test_fault_before_undecodable_text_is_reported_first(tmp_path):
 
 def all_train(ds):
     """A split whose train side is every sample, so the label ratio sees them all."""
-    return SplitPlan("trial_dependent", tuple(range(len(ds))), ())
+    return SplitPlan(tuple(range(len(ds))), ())
 
 
 def test_ratio_one_keeps_everything():

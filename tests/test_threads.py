@@ -1,6 +1,8 @@
-"""The package's BLAS thread default, checked in fresh interpreters."""
+"""The package's BLAS thread default, and which output bytes the BLAS thread
+count and kernel reach, checked in fresh interpreters."""
 
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +11,14 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+KERNEL_VAR = "OPENBLAS_CORETYPE"
 
 
 def run_python(code: str, **env: str) -> str:
-    """stdout of `code` in a fresh interpreter with only the given thread and allocator variables set."""
+    """stdout of `code` in a fresh interpreter with only the given thread, kernel and allocator variables set."""
     clean = {k: v for k, v in os.environ.items()
-             if k not in THREAD_VARS and not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+             if k not in THREAD_VARS + (KERNEL_VAR,) and not k.startswith("MALLOC_")
+             and k != "GLIBC_TUNABLES"}
     clean["PYTHONPATH"] = str(SRC)
     done = subprocess.run([sys.executable, "-c", code], env=clean | env, capture_output=True,
                           text=True, check=True)
@@ -73,15 +77,52 @@ train.batch_size = 80
 """
 
 
+def small_train(config, out):
+    """Code that runs the small training config into `out`."""
+    return ("import semicl.cli\n"
+            f"assert semicl.cli.main(['train', '--config', {str(config)!r}, '--out', {str(out)!r}, "
+            "'--seeds', '3']) == 0\n")
+
+
 def test_train_bytes_do_not_depend_on_blas_thread_count(tmp_path):
     config = tmp_path / "small.cfg"
     config.write_text(SMALL_TRAIN_CFG)
     outputs = {}
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        run_python("import semicl.cli; raise SystemExit(semicl.cli.main(['train', '--config', "
-                   f"{str(config)!r}, '--out', {str(out)!r}, '--seeds', '3']))",
-                   OPENBLAS_NUM_THREADS=threads)
+        run_python(small_train(config, out), OPENBLAS_NUM_THREADS=threads)
         outputs[threads] = {name: (out / name).read_bytes()
                             for name in ("trace.csv", "report.csv", "model.ckpt")}
     assert outputs["1"] == outputs["2"]
+
+
+# Prints the kernel numpy's bundled OpenBLAS chose at load time, empty for
+# another BLAS.
+CORE_NAME = """
+import ctypes, glob, os
+import numpy as np
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*"))
+get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+if get is not None:
+    get.restype = ctypes.c_char_p
+print("kernel:", get().decode() if get is not None else "")
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+def test_report_bytes_do_not_depend_on_blas_kernel(tmp_path):
+    # The README's reproducibility contract: report.csv holds across BLAS
+    # kernels; traces and checkpoints may not.
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_TRAIN_CFG)
+    cores, reports = {}, {}
+    for kernel, env in (("default", {}), ("Prescott", {KERNEL_VAR: "Prescott"})):
+        out = tmp_path / kernel
+        printed = run_python(small_train(config, out) + CORE_NAME, **env)
+        cores[kernel] = printed.rpartition("kernel:")[2].strip()
+        reports[kernel] = (out / "report.csv").read_bytes()
+    if not cores["default"]:
+        pytest.skip("numpy's BLAS is not its bundled OpenBLAS, which OPENBLAS_CORETYPE selects")
+    assert cores["default"] != cores["Prescott"], "the kernel setting did not take effect"
+    assert reports["default"] == reports["Prescott"]

@@ -461,10 +461,37 @@ def test_steps_per_epoch_follow_larger_pool(monkeypatch):
     assert len(calls) == 2 * 4
 
 
+def test_epoch_losses_are_the_means_of_their_steps(monkeypatch):
+    from semicl.data import hide_train_labels
+    ds, plan = tiny_data(n=48)
+    masked = hide_train_labels(ds, plan, 0.25, seed=0)  # 9 labeled, 27 unlabeled
+    steps = []
+    real = tr._train_step
+
+    def spy(*args, **kwargs):
+        steps.append(real(*args, **kwargs))
+        return steps[-1]
+
+    monkeypatch.setattr(tr, "_train_step", spy)
+    cfg = tiny_cfg(optimizer="adam", learning_rate=1e-3, epochs=2, batch_size=9)
+    _, trace = fit(tiny_model(), masked, plan, cfg)
+    # ceil(27 / 9) = 3 steps per epoch.
+    assert len(steps) == 2 * 3
+    for rec, epoch_steps in zip(trace.records, (steps[:3], steps[3:])):
+        for key in ("loss_u", "loss_s", "loss_c", "hybrid"):
+            values = [parts[key] for parts in epoch_steps]
+            assert all(v != 0.0 for v in values) and len(set(values)) == 3, key
+            assert getattr(rec, key) == pytest.approx(sum(values) / 3, rel=1e-12), key
+
+
 def test_cycler_recycles_reshuffled():
     cyc = tr._Cycler(5, 3, stream(0, "shuffle"))
     seen = np.concatenate([cyc.draw() for _ in range(5)])
     assert sorted(np.unique(seen)) == [0, 1, 2, 3, 4]
+    # Three passes over the pool, each a permutation, the second reshuffled.
+    passes = seen.reshape(3, 5)
+    assert all(sorted(p) == [0, 1, 2, 3, 4] for p in passes)
+    assert not np.array_equal(passes[0], passes[1])
     assert all(len(cyc.draw()) == 3 for _ in range(3))
 
 
@@ -474,6 +501,9 @@ def test_ensure_two_classes_swaps_last():
     order = np.array([2, 4, 3, 0, 1])
     fixed = tr._ensure_two_classes(idx, labels, order)
     assert labels[fixed].max() == 1
+    # Every element but the last is kept; the last becomes the first element
+    # of `order` whose label differs: 3, the first of 2, 4, 3, 0, 1 with label 1.
+    assert np.array_equal(fixed, [0, 1, 3])
     already_ok = tr._ensure_two_classes(np.array([0, 3]), labels, order)
     assert np.array_equal(already_ok, [0, 3])
 
