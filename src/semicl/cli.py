@@ -14,6 +14,7 @@ import sys
 from .config import load_config
 from .data import PATTERNS
 from .errors import ConfigError, ContractError, DataError, DivergenceError, SemiCLError
+from .rng import SEED_LIMIT
 from . import experiments
 
 EXIT_OK = 0
@@ -30,6 +31,8 @@ def _parse_seeds(s: str) -> list[int]:
         raise ConfigError(f"bad --seeds value {s!r}: {e}") from e
     if not seeds:
         raise ConfigError("--seeds must list at least one seed")
+    if any(not 0 <= seed < SEED_LIMIT for seed in seeds):
+        raise ConfigError(f"--seeds must lie in [0, 2**64), got {s!r}")
     return seeds
 
 

@@ -9,6 +9,7 @@ documented Philox 4x64 generator family is supported.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import rng as rng_mod
 from .augment import KINDS, AugmentSpec
 from .data import PATTERNS, SemiLabeledDataset, SplitParams, load_csv
-from .errors import ConfigError
+from .errors import ConfigError, SemiCLError
 from .losses import DENOMINATOR_MODES, LossWeights
 from .nn import EncoderConfig
 from .optim import OPTIMIZERS
@@ -52,7 +53,10 @@ def _int_list(s: str) -> tuple[int, ...]:
     return tuple(int(p) for p in s.split(",") if p != "")
 
 
-# key -> (parser, default); None default means "only valid when set".
+# key -> (parser, default). A key <section>.<name> sets the parameter `name` of
+# the class or function its section builds (see ExperimentConfig._build); only
+# data.source, data.manifest, data.label_ratio, split.pattern,
+# losses.ntxent_denominator and rng.algorithm are read by name.
 SCHEMA: dict[str, tuple] = {
     "data.source": (_choice("synth", "csv"), "synth"),
     "data.manifest": (str, ""),
@@ -91,14 +95,18 @@ SCHEMA: dict[str, tuple] = {
 }
 
 
-def parse_entry(key: str, value: str):
+def _entry(where: str, text: str) -> tuple[str, object]:
+    """Split one ``key = value`` item and parse its value; each error starts with `where`."""
+    key, eq, value = (part.strip() for part in text.partition("="))
+    if not eq:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
     if key not in SCHEMA:
-        raise ConfigError(f"unknown config key {key!r}")
+        raise ConfigError(f"{where}: unknown config key {key!r}")
     parser, _ = SCHEMA[key]
     try:
-        return parser(value.strip())
+        return key, parser(value)
     except ValueError as e:
-        raise ConfigError(f"bad value for {key}: {e}") from e
+        raise ConfigError(f"{where}: bad value for {key}: {e}") from e
 
 
 def load_config(path, overrides: list[str] | None = None) -> "ExperimentConfig":
@@ -113,18 +121,14 @@ def load_config(path, overrides: list[str] | None = None) -> "ExperimentConfig":
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
+        key, value = _entry(f"{path}:{ln}", line)
         if key in seen:
             raise ConfigError(f"{path}:{ln}: duplicate key {key!r}")
         seen.add(key)
-        values[key] = parse_entry(key, val)
+        values[key] = value
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, val = (part.strip() for part in item.split("=", 1))
-        values[key] = parse_entry(key, val)
+        key, value = _entry("--override", item)
+        values[key] = value
     cfg = ExperimentConfig(values=values, source_path=str(path))
     cfg.validate()
     return cfg
@@ -149,77 +153,38 @@ class ExperimentConfig:
         # and the augmentation spec too.
         self.train_config(seed=0)
 
-    def loss_weights(self) -> LossWeights:
+    def _build(self, section: str, make, **extra):
+        """Call `make` with every ``<section>.<name>`` value whose name is one of its
+        parameters, and with `extra`; a SemiCLError it raises becomes a ConfigError."""
+        prefix = section + "."
+        kwargs = {name: self.values[prefix + name] for name in inspect.signature(make).parameters
+                  if prefix + name in self.values}
+        kwargs.update(extra)
         try:
-            return LossWeights(
-                lambda1=self["losses.lambda1"],
-                lambda2=self["losses.lambda2"],
-                lambda3=self["losses.lambda3"],
-                tau=self["losses.tau"],
-            )
-        except Exception as e:
-            raise ConfigError(f"bad loss weights: {e}") from e
-
-    def augment_spec(self) -> AugmentSpec:
-        try:
-            return AugmentSpec(
-                kind=self["augment.kind"],
-                mask_prob=self["augment.mask_prob"],
-                jitter_sigma=self["augment.jitter_sigma"],
-            )
-        except Exception as e:
-            raise ConfigError(f"bad augmentation spec: {e}") from e
+            return make(**kwargs)
+        except SemiCLError as e:
+            raise ConfigError(f"bad {section} config: {e}") from e
 
     def split_params(self) -> SplitParams:
-        return SplitParams(
-            test_fraction=self["split.test_fraction"],
-            holdout_trials=self["split.holdout_trials"],
-            holdout_subjects=self["split.holdout_subjects"],
-        )
+        return self._build("split", SplitParams)
 
     def encoder_config(self, in_channels: int) -> EncoderConfig:
-        try:
-            return EncoderConfig(
-                in_channels=in_channels,
-                num_blocks=self["model.num_blocks"],
-                dilations=self["model.dilations"],
-                feature_channels=self["model.feature_channels"],
-                embed_dim=self["model.embed_dim"],
-            )
-        except Exception as e:
-            raise ConfigError(f"bad model config: {e}") from e
+        return self._build("model", EncoderConfig, in_channels=in_channels)
 
     def train_config(self, seed: int, regime: str | None = None,
                      ablation: str | None = None) -> TrainConfig:
-        return TrainConfig(
-            regime=regime or self["train.regime"],
-            ablation=ablation or self["train.ablation"],
-            weights=self.loss_weights(),
-            epochs=self["train.epochs"],
-            batch_size=self["train.batch_size"],
-            optimizer=self["train.optimizer"],
-            learning_rate=self["train.learning_rate"],
-            seed=seed,
-            pretrain_epochs=self["train.pretrain_epochs"],
-            freeze_encoder=self["train.freeze_encoder"],
-            augment=self.augment_spec(),
-            ntxent_denominator=self["losses.ntxent_denominator"],
-        )
+        return self._build("train", TrainConfig, seed=seed,
+                           regime=regime or self["train.regime"],
+                           ablation=ablation or self["train.ablation"],
+                           weights=self._build("losses", LossWeights),
+                           augment=self._build("augment", AugmentSpec),
+                           ntxent_denominator=self["losses.ntxent_denominator"])
 
     def build_dataset(self, seed: int) -> SemiLabeledDataset:
         """Generate (synth) or load (csv) the fully labeled dataset."""
         if self["data.source"] == "synth":
-            return synth_generate(
-                num_samples=self["data.num_samples"],
-                num_classes=self["data.num_classes"],
-                channels=self["data.channels"],
-                length=self["data.length"],
-                noise_sigma=self["data.noise_sigma"],
-                seed=seed,
-                num_subjects=self["data.num_subjects"],
-            )
+            return self._build("data", synth_generate, seed=seed)
         manifest = Path(self["data.manifest"])
         if not manifest.is_absolute() and self.source_path:
             manifest = Path(self.source_path).parent / manifest
         return load_csv(manifest)
-

@@ -316,6 +316,15 @@ def test_synth_gen_round_trip(quick_config, tmp_path):
         assert a.label == b.label
 
 
+@pytest.mark.parametrize("seeds", ["0,18446744073709551616", "-1"], ids=["2^64", "negative"])
+def test_seed_outside_64_bits_exits_2(quick_config, tmp_path, capsys, seeds):
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(quick_config), "--out", str(out), "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]: --seeds must lie in [0, 2**64)" in err
+    assert not out.exists()
+
+
 def test_config_duplicate_key_rejected(tmp_path):
     cfg = tmp_path / "dup.cfg"
     cfg.write_text("train.epochs = 2\ntrain.epochs = 3\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semicl.errors import ContractError
 from semicl.rng import ALGORITHM, STREAMS, stream
 
 
@@ -27,6 +28,19 @@ def test_sub_streams_differ():
 def test_unknown_stream_rejected():
     with pytest.raises(KeyError):
         stream(0, "entropy")
+
+
+@pytest.mark.parametrize("seed,index", [(2 ** 64, 0), (-1, 0), (0, 2 ** 32), (0, -1)],
+                         ids=["seed_2^64", "seed_-1", "index_2^32", "index_-1"])
+def test_seed_or_index_outside_its_key_field_rejected(seed, index):
+    # Each would alias an in-range one: 2^64 draws what 0 draws, -1 what 2^64 - 1 draws.
+    with pytest.raises(ContractError, match="seed|index"):
+        stream(seed, "synth", index=index)
+
+
+def test_largest_seed_and_index_accepted():
+    top = stream(2 ** 64 - 1, "synth", index=2 ** 32 - 1).random(4)
+    assert not np.array_equal(top, stream(0, "synth").random(4))
 
 
 def test_algorithm_pinned():
